@@ -259,6 +259,41 @@ def _cache_key(argv: Sequence[str]) -> str:
     return hashlib.sha256("\0".join(argv).encode()).hexdigest()
 
 
+def _read_entry(entry: Path) -> Optional[dict]:
+    """A stored result, or None if the entry is missing, unreadable or
+    malformed (then it is recomputed and overwritten)."""
+    try:
+        stored = json.loads(entry.read_text())
+    except (OSError, ValueError):  # ValueError covers bad UTF-8 and JSON
+        return None
+    if (isinstance(stored, dict) and isinstance(stored.get("output"), str)
+            and type(stored.get("code")) is int):
+        return stored
+    return None
+
+
+def _write_entry(entry: Path, stored: dict) -> None:
+    """Write via a temp file in the same directory and os.replace, so a
+    reader never sees a partial entry."""
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    tmp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(stored))
+        os.replace(tmp, entry)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexcount",
@@ -296,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    help=f"one of {', '.join(FAMILIES)}")
     p.add_argument("--avoid", action="append", default=[])
-    p.add_argument("--max-s", type=int, required=True)
-    p.add_argument("--max-t", type=int, required=True)
+    p.add_argument("--max-s", type=_positive_int, required=True)
+    p.add_argument("--max-t", type=_positive_int, required=True)
     p.set_defaults(func=cmd_table, cacheable=True)
 
     p = sub.add_parser("qpoly", help="statistic generating function")
@@ -346,8 +381,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cache = _cache_dir(args) if getattr(args, "cacheable", False) else None
     if cache is not None:
         entry = cache / f"{_cache_key(argv)}.json"
-        if entry.exists():
-            stored = json.loads(entry.read_text())
+        stored = _read_entry(entry)
+        if stored is not None:
             print(stored["output"])
             return stored["code"]
 
@@ -359,8 +394,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(output)
     if cache is not None and code == 0:
-        cache.mkdir(parents=True, exist_ok=True)
-        entry.write_text(json.dumps({"code": code, "output": output}))
+        try:
+            _write_entry(entry, {"code": code, "output": output})
+        except OSError as e:
+            print(f"error: cannot write cache entry: {e}", file=sys.stderr)
+            return 1
     return code
 
 

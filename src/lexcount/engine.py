@@ -1,21 +1,29 @@
 """
-The brute-force oracle: enumerate and count linear extensions.
+Enumerate and count (pattern-avoiding) linear extensions.
 
 `linear_extensions` and `avoiders` are backtracking generators that always
 try currently-available elements in increasing label order, so extensions
 come out in lexicographic order.  Pattern filtering prunes a branch as
 soon as the partial extension contains a forbidden pattern; since a
 contained pattern can never be destroyed by appending, it is enough to
-test occurrences that end at the newly placed element.
+test occurrences that end at the newly placed element.  They serve
+listing and q-polynomials, and are the plain reference the counting DPs
+are tested against.
 
-`count_extensions` counts without listing, by dynamic programming over
-order ideals.
+`count_avoiders` counts without listing, by a forward DP over prefix
+length.  A prefix matters to its completions only through the order
+ideal it fills and its partial pattern matches, each matched value
+replaced by its rank among the values not yet placed; prefixes that agree
+on both are merged.
+
+`count_extensions` counts pattern-free extensions by dynamic programming
+over order ideals alone.
 """
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .perms import Perm, contains, perm
 from .posets import GridPoset, build
@@ -207,7 +215,70 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
 
 
 def count_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> int:
-    return sum(1 for _ in avoiders(poset, patterns))
+    """Number of linear extensions avoiding every pattern.
+
+    Layer k maps each state reachable by a k-element prefix to the number
+    of such prefixes.  A state is (mask of placed elements, frozenset of
+    partial matches (pattern index, gaps)), where gaps[q] is the number of
+    unplaced values below the value matched to sigma[q].  Placing a value
+    with r unplaced values below it lies above exactly the matched values
+    with gap <= r, so the gaps decide every comparison with future values.
+    """
+    pats = sorted({perm(p) for p in patterns})
+    if () in pats:
+        return 0  # the empty pattern is contained in everything
+    poset._closure  # noqa: B018 -- topological sort; raises on a cycle
+    n = poset.n
+    if (1,) in pats:
+        return int(n == 0)
+    pred_masks = _pred_masks(poset)
+    # above[i][k][q]: must the value matched to sigma_i[k] exceed sigma_i[q]?
+    above = [[tuple(sig[k] > sig[q] for q in range(k)) for k in range(len(sig))]
+             for sig in pats]
+    full = (1 << n) - 1
+
+    @lru_cache(maxsize=None)
+    def step(match: tuple, r: int) -> tuple[tuple, Optional[tuple]]:
+        """Placing a value of rank r: the match with its gaps renumbered,
+        and the match extended by the value (None if the value does not
+        fit, () if it completes the pattern)."""
+        i, gaps = match
+        shifted = tuple(g - (g > r) for g in gaps)
+        if any((g <= r) != a for g, a in zip(gaps, above[i][len(gaps)])):
+            return (i, shifted), None
+        if len(gaps) + 1 == len(pats[i]):
+            return (i, shifted), ()
+        return (i, shifted), (i, shifted + (r,))
+
+    def advance(matches: frozenset, r: int) -> Optional[frozenset]:
+        """The partial matches after placing a value of rank r, or None if
+        the value completes a pattern."""
+        new = {(i, (r,)) for i in range(len(pats))}
+        for match in matches:
+            kept, grown = step(match, r)
+            new.add(kept)
+            if grown is not None:
+                if not grown:
+                    return None
+                new.add(grown)
+        return frozenset(new)
+
+    layer: dict[tuple[int, frozenset], int] = {(0, frozenset()): 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, frozenset], int] = {}
+        for (mask, matches), ways in layer.items():
+            free = full & ~mask
+            for x in range(n):
+                bit = 1 << x
+                if not free & bit or pred_masks[x] & ~mask:
+                    continue
+                r = (free & (bit - 1)).bit_count()
+                after = advance(matches, r)
+                if after is not None:
+                    state = (mask | bit, after)
+                    nxt[state] = nxt.get(state, 0) + ways
+        layer = nxt
+    return sum(layer.values())
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +328,14 @@ def _grid_count(gs: int, gt: int) -> int:
     return result
 
 
+def _pred_masks(poset: GridPoset) -> list[int]:
+    """Bitmask of the direct predecessors of each element (bit x-1 for x)."""
+    return [sum(1 << (a - 1) for a in preds) for preds in poset.direct_preds]
+
+
 def _downset_count(poset: GridPoset) -> int:
     n = poset.n
-    pred_masks = [0] * n
-    for b in range(1, n + 1):
-        m = 0
-        for a in poset.direct_preds[b - 1]:
-            m |= 1 << (a - 1)
-        pred_masks[b - 1] = m
+    pred_masks = _pred_masks(poset)
     full = (1 << n) - 1
     memo: dict[int, int] = {full: 1}
 

@@ -122,6 +122,16 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[3].endswith(",-")
 
+    @pytest.mark.parametrize("bounds", [("0", "2"), ("2", "0"), ("-1", "3"),
+                                        ("2", "-4")])
+    def test_range_must_be_positive(self, run, bounds):
+        code, out, err = run("table", "--family", "NE", "--max-s", bounds[0],
+                             "--max-t", bounds[1])
+        assert code == 1
+        assert out == ""
+        assert "must be at least 1" in err
+        assert "Traceback" not in err
+
 
 class TestQpoly:
     def test_plain(self, run):
@@ -246,6 +256,29 @@ class TestCache:
         run("--cache-dir", str(tmp_path), "count", "--poset", "EN:9x9",
             "--avoid", "12345", "--route", "oracle")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("damage", [b'{"code": 0, "out', b"", b"[1, 2]",
+                                        b'{"code": 0}', b"\xff\xfe"])
+    def test_corrupt_entry_is_recomputed(self, run, tmp_path, damage):
+        argv = ("--cache-dir", str(tmp_path), "count", "--poset", "EN:4x3",
+                "--avoid", "1243")
+        first = run(*argv)
+        (entry,) = tmp_path.iterdir()
+        entry.write_bytes(damage)
+        code, out, err = run(*argv)
+        assert (code, out, err) == first == (0, "55\nroute: Cor4.6", "")
+        assert list(tmp_path.iterdir()) == [entry]
+        assert json.loads(entry.read_text())["output"] == out
+
+    def test_unwritable_cache_dir(self, run, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run("--cache-dir", str(blocker), "count",
+                             "--poset", "EN:2x2")
+        assert code == 1
+        assert out.splitlines()[0] == "2"
+        assert err.startswith("error: cannot write cache entry")
+        assert len(err.splitlines()) == 1
 
     def test_uncacheable_commands_skip_cache(self, run, tmp_path):
         run("--cache-dir", str(tmp_path), "charpoly", "--t", "3")

@@ -7,13 +7,21 @@ from lexcount.engine import (avoiders, count_avoiders, count_extensions,
                              insert_213, is_extension, linear_extensions,
                              make_tracker)
 from lexcount.perms import contains
-from lexcount.posets import GridPoset, build, empty_poset, saw_poset, zip_poset
+from lexcount.posets import (FAMILIES, GridPoset, build, empty_poset,
+                             saw_poset, zip_poset)
 
 
 def brute_avoiders(poset, patterns):
     """Reference implementation: filter the raw extension stream."""
     return [pi for pi in linear_extensions(poset)
             if all(not contains(pi, s) for s in patterns)]
+
+
+def cyclic_poset():
+    base = build("EN", 2, 2)
+    return GridPoset(family="EN", s=2, t=2, grid_s=2, grid_t=2,
+                     coords=base.coords,
+                     extra_before=frozenset({(1, 2), (2, 1)}))
 
 
 SHAPES = [(1, 1), (1, 4), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
@@ -49,12 +57,8 @@ class TestEnumeration:
             assert is_extension(p, pi)
 
     def test_cycle_detected_eagerly(self):
-        base = build("EN", 2, 2)
-        bad = GridPoset(family="EN", s=2, t=2, grid_s=2, grid_t=2,
-                        coords=base.coords,
-                        extra_before=frozenset({(1, 2), (2, 1)}))
         with pytest.raises(ValueError, match="cycle"):
-            avoiders(bad, [])
+            avoiders(cyclic_poset(), [])
 
 
 class TestPatternPruning:
@@ -72,8 +76,8 @@ class TestPatternPruning:
 
     def test_duplicate_patterns_collapse(self):
         p = build("NE", 2, 3)
-        assert (count_avoiders(p, [(1, 2, 3), (1, 2, 3)])
-                == count_avoiders(p, [(1, 2, 3)]))
+        assert (count_avoiders(p, [(1, 2, 3), [1, 2, 3], (1, 2, 3)])
+                == count_avoiders(p, [(1, 2, 3)]) == 5)
 
     @given(st.permutations(list(range(1, 7))))
     @settings(max_examples=50, deadline=None)
@@ -130,6 +134,52 @@ class TestCounting:
     def test_large_grid_dp_is_fine(self):
         # the profile DP does not materialize extensions
         assert count_extensions(build("EN", 6, 6)) > 10 ** 9
+
+
+_shapes = st.integers(1, 12).flatmap(
+    lambda s: st.tuples(st.just(s), st.integers(1, 12 // s)))
+_posets = st.one_of(
+    st.builds(lambda f, sh: build(f, *sh), st.sampled_from(FAMILIES), _shapes),
+    st.builds(lambda sh: saw_poset(*sh), _shapes),
+    st.builds(lambda sh: zip_poset(*sh), _shapes))
+_patterns = st.lists(
+    st.integers(1, 4).flatmap(
+        lambda m: st.permutations(range(1, m + 1)).map(tuple)),
+    max_size=3)
+
+
+class TestAvoiderDP:
+    """count_avoiders (state DP) against avoiders (plain backtracking)."""
+
+    @given(_posets, _patterns)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_enumeration(self, poset, patterns):
+        assert (count_avoiders(poset, patterns)
+                == sum(1 for _ in avoiders(poset, patterns)))
+
+    def test_empty_pattern(self):
+        assert count_avoiders(build("EN", 2, 2), [()]) == 0
+        assert count_avoiders(empty_poset(), [(1, 2), ()]) == 0
+
+    def test_empty_poset(self):
+        assert count_avoiders(empty_poset(), []) == 1
+        assert count_avoiders(empty_poset(), [(1,)]) == 1
+
+    def test_length_one_pattern(self):
+        assert count_avoiders(build("NE", 2, 3), [(1,)]) == 0
+        assert count_avoiders(build("NE", 1, 1), [(1,), (2, 1)]) == 0
+
+    def test_cycle_detected(self):
+        with pytest.raises(ValueError, match="cycle"):
+            count_avoiders(cyclic_poset(), [(1, 2, 3)])
+
+    def test_bad_pattern(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            count_avoiders(build("EN", 2, 2), [(1, 3)])
+
+    def test_en_5x5_2143(self):
+        # the published t = 5, s = 5 entry of the 2143 table
+        assert count_avoiders(build("EN", 5, 5), [(2, 1, 4, 3)]) == 266110
 
 
 class TestInsert213:
