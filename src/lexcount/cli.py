@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import formulas, paths, qstats, transfer, verify
 from .engine import count_avoiders, count_extensions, avoiders
@@ -24,16 +24,20 @@ from .posets import (FAMILIES, GridPoset, build, canonicalize,
 
 ORACLE_GUARD = 25
 
-_RC_2143 = frozenset({(2, 1, 4, 3)})
-
 
 class CliError(Exception):
     pass
 
 
-def _routes_for(poset: GridPoset, patterns: list[tuple[int, ...]],
-                force: bool, only: Optional[str]) -> dict[str, int]:
-    """All affordable counting routes, keyed by route name."""
+class Disagreement(Exception):
+    """Counting routes disagree: main prints them, exits 2, caches nothing."""
+
+
+def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
+           only: Optional[str]) -> tuple[Optional[str], Optional[int]]:
+    """Run every affordable counting route (or only the one named), check
+    that they agree, and return the first of formula, transfer, ideal-dp,
+    oracle with its value; (None, None) if no route is affordable."""
     routes: dict[str, int] = {}
     want = lambda name: only is None or only == name
 
@@ -43,12 +47,10 @@ def _routes_for(poset: GridPoset, patterns: list[tuple[int, ...]],
             res = formulas.count_formula(prob)
             if res is not None:
                 routes[res.provenance] = res.value
-        if want("transfer") and prob.family == "EN":
-            key = prob.patterns
-            rc = frozenset(tuple(len(p) + 1 - x for x in reversed(p))
-                           for p in key)
-            if key == _RC_2143 or rc == _RC_2143:
-                routes["transfer"] = transfer.count_2143(prob.s, prob.t)
+        # 2143 is its own reverse-complement, so no other set maps to it
+        if (want("transfer") and prob.family == "EN"
+                and prob.patterns == {(2, 1, 4, 3)}):
+            routes["transfer"] = transfer.count_2143(prob.s, prob.t)
     if want("ideal-dp") and not patterns:
         try:
             routes["ideal-dp"] = count_extensions(poset)
@@ -62,27 +64,20 @@ def _routes_for(poset: GridPoset, patterns: list[tuple[int, ...]],
                 f"oracle route refused for {poset.n} elements; pass --force")
     if only is not None and not routes:
         raise CliError(f"route {only!r} is not available for this problem")
-    return routes
-
-
-def _pick_route(routes: dict[str, int]) -> str:
-    order = {"transfer": 1, "ideal-dp": 2, "oracle": 3}
-    return min(routes, key=lambda r: (order.get(r, 0), r))
+    if len(set(routes.values())) > 1:
+        raise Disagreement(
+            ", ".join(f"{r}={v}" for r, v in sorted(routes.items())))
+    return next(iter(routes.items()), (None, None))
 
 
 def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
     poset = parse_poset_spec(args.poset)
     patterns = [parse_perm(p) for p in args.avoid]
-    routes = _routes_for(poset, patterns, args.force, args.route)
-    if not routes:
+    route, value = _solve(poset, patterns, args.force, args.route)
+    if route is None:
         raise CliError(
             f"no affordable route for {poset.n} elements; pass --force "
             "to run the oracle anyway")
-    if len(set(routes.values())) > 1:
-        detail = ", ".join(f"{r}={v}" for r, v in sorted(routes.items()))
-        return 2, f"route disagreement: {detail}"
-    route = _pick_route(routes)
-    value = routes[route]
     if args.format == "json":
         return 0, json.dumps({"value": value, "route": route,
                               "poset": poset.spec_string(),
@@ -109,14 +104,10 @@ def cmd_list(args: argparse.Namespace) -> tuple[int, str]:
 
 def _table_cell(family: str, s: int, t: int,
                 patterns: list[tuple[int, ...]], force: bool) -> Optional[int]:
-    poset = build(family, s, t)
-    routes = _routes_for(poset, patterns, force, None)
-    if not routes:
-        return None
-    if len(set(routes.values())) > 1:
-        detail = ", ".join(f"{r}={v}" for r, v in sorted(routes.items()))
-        raise CliError(f"route disagreement at ({s},{t}): {detail}")
-    return routes[_pick_route(routes)]
+    try:
+        return _solve(build(family, s, t), patterns, force, None)[1]
+    except Disagreement as e:
+        raise Disagreement(f"{e} at ({s},{t})") from None
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
@@ -183,38 +174,36 @@ def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
         if args.kind == "tableau":
             T = paths.ext_to_tableau(pi, s, t)
             payload["tableau"] = [list(r) for r in T]
+            plain = json.dumps(payload["tableau"])
         elif args.kind == "fcpath":
             w = paths.ext_to_fcpath(pi, s, t)
             payload["path"] = w
             payload["extension_descents"] = sorted(descents(pi))
             payload["path_descents"] = _path_descents(w)
-        elif args.kind == "zipper":
-            payload["word"] = paths.format_zipper(paths.ext_to_zipper(pi, s, t))
-        else:
-            raise CliError(f"unknown bijection kind {args.kind!r}")
-        main_key = {"tableau": "tableau", "fcpath": "path", "zipper": "word"}
-        plain = payload[main_key[args.kind]]
-        if args.kind == "fcpath":
             plain = (f"{w}\nextension descents: "
                      f"{payload['extension_descents']}\n"
                      f"path descents: {payload['path_descents']}")
-        elif args.kind == "tableau":
-            plain = json.dumps(payload["tableau"])
+        else:
+            plain = paths.format_zipper(paths.ext_to_zipper(pi, s, t))
+            payload["word"] = plain
     else:
         if args.kind == "tableau":
             rows = json.loads(args.word)
+            if not (isinstance(rows, list) and len(rows) == s
+                    and all(isinstance(r, list) and len(r) == t
+                            and all(type(v) is int for v in r) for r in rows)):
+                raise CliError(f"--word must be a JSON list of {s} lists "
+                               f"of {t} integers for {poset.spec_string()}")
             pi = paths.tableau_to_ext(rows)
         elif args.kind == "fcpath":
             pi = paths.fcpath_to_ext(args.word, s, t)
-        elif args.kind == "zipper":
-            pi = paths.zipper_to_ext(paths.parse_zipper(args.word), s, t)
         else:
-            raise CliError(f"unknown bijection kind {args.kind!r}")
-        payload["extension"] = format_perm(pi)
-        plain = payload["extension"]
+            pi = paths.zipper_to_ext(paths.parse_zipper(args.word), s, t)
+        plain = format_perm(pi)
+        payload["extension"] = plain
     if args.format == "json":
         return 0, json.dumps(payload, sort_keys=True)
-    return 0, str(plain)
+    return 0, plain
 
 
 def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
@@ -250,13 +239,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
-def _cache_dir(args: argparse.Namespace) -> Optional[Path]:
-    d = args.cache_dir or os.environ.get("LEXCOUNT_CACHE_DIR")
-    return Path(d) if d else None
-
-
-def _cache_key(argv: Sequence[str]) -> str:
-    return hashlib.sha256("\0".join(argv).encode()).hexdigest()
+def _cache_key(args: argparse.Namespace) -> str:
+    """sha256 of the parsed arguments, so that flag order, defaults spelled
+    out and the way the cache dir is given do not matter.  --avoid keeps
+    its order and repeats, since json output echoes them."""
+    fields = {k: v for k, v in vars(args).items()
+              if k not in ("cache_dir", "func", "cacheable")}
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 def _read_entry(entry: Path) -> Optional[dict]:
@@ -294,8 +284,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Report a usage error as one line on stderr, with the line breaks
+        of a stray argument escaped, and exit 1; argparse would also print
+        the usage and exit 2, the disagreement code."""
+        message = "\\n".join(message.splitlines())
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lexcount",
         description="Exact enumeration of pattern-avoiding linear "
                     "extensions of rectangular posets")
@@ -371,16 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
 
-    cache = _cache_dir(args) if getattr(args, "cacheable", False) else None
-    if cache is not None:
-        entry = cache / f"{_cache_key(argv)}.json"
+    cache = args.cacheable and (args.cache_dir
+                                or os.environ.get("LEXCOUNT_CACHE_DIR"))
+    entry = Path(cache, f"{_cache_key(args)}.json") if cache else None
+    if entry is not None:
         stored = _read_entry(entry)
         if stored is not None:
             print(stored["output"])
@@ -388,12 +387,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         code, output = args.func(args)
+    except Disagreement as e:
+        print(f"route disagreement: {e}")
+        return 2
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
     print(output)
-    if cache is not None and code == 0:
+    if entry is not None and code == 0:
         try:
             _write_entry(entry, {"code": code, "output": output})
         except OSError as e:

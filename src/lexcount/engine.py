@@ -25,7 +25,7 @@ from bisect import bisect_right, insort
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .perms import Perm, contains, perm
+from .perms import Perm, contains, ending_matcher, perm
 from .posets import GridPoset, build
 
 
@@ -33,46 +33,17 @@ from .posets import GridPoset, build
 # incremental pattern trackers
 
 class GenericTracker:
-    """Checks whether appending x completes an occurrence of sigma, by
-    depth-first matching with x fixed as the last pattern entry."""
+    """Checks whether appending x completes an occurrence of sigma, with
+    x fixed as the last pattern entry (`perms.ending_matcher`)."""
 
     def __init__(self, sigma: Perm):
         if len(sigma) == 0:
             raise ValueError("empty pattern forbids everything")
-        self.sigma = sigma
         self.prefix: list[int] = []
+        self._ends_at = ending_matcher(sigma)
 
     def completes(self, x: int) -> bool:
-        sigma = self.sigma
-        m = len(sigma) - 1
-        if len(self.prefix) < m:
-            return False
-        if m == 0:
-            return True
-        prefix = self.prefix
-        last = sigma[m]
-
-        def dfs(k: int, start: int, chosen: list[int]) -> bool:
-            if k == m:
-                return True
-            sk = sigma[k]
-            for p in range(start, len(prefix) - (m - k) + 1):
-                v = prefix[p]
-                if (v > x) != (sk > last):
-                    continue
-                ok = True
-                for q, w in enumerate(chosen):
-                    if (v > w) != (sk > sigma[q]):
-                        ok = False
-                        break
-                if ok:
-                    chosen.append(v)
-                    if dfs(k + 1, p + 1, chosen):
-                        return True
-                    chosen.pop()
-            return False
-
-        return dfs(0, 0, [])
+        return self._ends_at(self.prefix, x)
 
     def push(self, x: int) -> None:
         self.prefix.append(x)
@@ -176,13 +147,9 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
     if any(len(p) == 0 for p in patset):
         return iter(())  # the empty pattern is contained in everything
     trackers = [make_tracker(p) for p in sorted(patset)]
-    preds = poset.direct_preds
     poset._closure  # noqa: B018 -- topological sort; raises on a cycle
-    indeg = [len(p) for p in preds]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for b in range(1, n + 1):
-        for a in preds[b - 1]:
-            succs[a - 1].append(b)
+    indeg = [len(p) for p in poset.direct_preds]
+    succs = poset.succs
 
     prefix: list[int] = []
 

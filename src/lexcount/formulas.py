@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Optional
 
-from .perms import Perm, reverse_complement
+from .perms import Perm, rc_closure_key
 from .posets import CanonicalProblem
 
 
@@ -90,74 +90,67 @@ class FormulaResult:
     provenance: str
 
 
-def _key(patterns: frozenset[Perm]) -> frozenset[Perm]:
-    rc = frozenset(reverse_complement(p) for p in patterns)
-    return min(patterns, rc, key=lambda ps: sorted(ps))
-
-
-_P213 = frozenset({(2, 1, 3)})
-_P231 = frozenset({(2, 3, 1)})
-_P321 = frozenset({(3, 2, 1)})
-_P123 = frozenset({(1, 2, 3)})
-_P312 = frozenset({(3, 1, 2)})
-_P213_123 = frozenset({(2, 1, 3), (1, 2, 3)})
-_P213_132 = frozenset({(2, 1, 3), (1, 3, 2)})
-_P1243 = frozenset({(1, 2, 4, 3)})
-_P2143 = frozenset({(2, 1, 4, 3)})
+_P213 = rc_closure_key([(2, 1, 3)])
+_P231 = rc_closure_key([(2, 3, 1)])
+_P321 = rc_closure_key([(3, 2, 1)])
+_P123 = rc_closure_key([(1, 2, 3)])
+_P312 = rc_closure_key([(3, 1, 2)])
+_P213_123 = rc_closure_key([(2, 1, 3), (1, 2, 3)])
+_P213_132 = rc_closure_key([(2, 1, 3), (1, 3, 2)])
+_P1243 = rc_closure_key([(1, 2, 4, 3)])
+_P2143 = rc_closure_key([(2, 1, 4, 3)])
 
 
 def count_formula(problem: CanonicalProblem) -> Optional[FormulaResult]:
     """Return (value, provenance) when a closed form covers the problem."""
     s, t = problem.s, problem.t
-    key = _key(problem.patterns)
+    key = rc_closure_key(problem.patterns)
+    if not key:
+        return FormulaResult(hook_count(s, t), "Prop2.2")
     if problem.family == "EN":
         return _en_formula(s, t, key)
     return _ne_formula(s, t, key)
 
 
 def _en_formula(s: int, t: int, key: frozenset[Perm]) -> Optional[FormulaResult]:
-    if not key:
-        return FormulaResult(hook_count(s, t), "Prop2.2")
-    if key == _key(_P213):
+    if key == _P213:
         return FormulaResult(1, "Thm3.1")
-    if key == _key(_P231):
+    if key == _P231:
         if s == 1 or t == 1:
             return FormulaResult(1, "Thm3.2")
         return FormulaResult(0, "Thm3.2")
-    if key == _key(_P321):
+    if key == _P321:
         if s == 1:
             return FormulaResult(1, "Thm3.3")
         if s == 2:
             return FormulaResult(catalan(t), "Thm3.3")
         return FormulaResult(0, "Thm3.3")
-    if key == _key(_P123):
+    if key == _P123:
         if t == 1:
             return FormulaResult(1, "Thm3.4")
         if t == 2:
             return FormulaResult(catalan(s), "Thm3.4")
         return FormulaResult(0, "Thm3.4")
-    if key == _key(_P1243):
+    if key == _P1243:
         return FormulaResult(fuss_catalan(s, t), "Cor4.6")
-    if key == _key(_P2143) and t <= 4:
+    if key == _P2143 and t <= 4:
         roman = {1: "i", 2: "ii", 3: "iii", 4: "iv"}[t]
         return FormulaResult(count_2143_closed(s, t), f"Thm5.9{roman}")
     return None
 
 
 def _ne_formula(s: int, t: int, key: frozenset[Perm]) -> Optional[FormulaResult]:
-    if not key:
-        return FormulaResult(hook_count(s, t), "Prop2.2")
-    if key == _key(_P213):
+    if key == _P213:
         return FormulaResult(t ** (s - 1), "Thm3.5")
-    if key == _key(_P213_123):
+    if key == _P213_123:
         return FormulaResult(t ** (s - 1), "Cor3.6")
-    if key == _key(_P213_132):
+    if key == _P213_132:
         if t == 1:
             return FormulaResult(1, "Cor3.7")
         return FormulaResult(2 ** (s - 1), "Cor3.7")
-    if key == _key(_P312):
+    if key == _P312:
         return FormulaResult(1, "Thm3.8")
-    if key == _key(_P123):
+    if key == _P123:
         # only the boundary cases are known; s, t >= 3 is open
         if s == 1 or t == 1:
             return FormulaResult(1, "Sec3-exercise")

@@ -11,7 +11,7 @@ digit string ("1243"), longer ones as comma-separated integers
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
 
@@ -48,49 +48,65 @@ def reverse_complement(pi: Sequence[int]) -> Perm:
 
 
 def contains(pi: Sequence[int], sigma: Sequence[int]) -> bool:
-    """
-    True iff some subsequence of pi is order-isomorphic to sigma.
-
-    Pruned depth-first subsequence matching: entries of sigma are matched
-    left to right, and a candidate entry is accepted only if its relative
-    order against all previously chosen entries agrees with sigma.  The
-    empty pattern is contained in everything.
-    """
-    m = len(sigma)
-    n = len(pi)
-    if m == 0:
+    """True iff some subsequence of pi is order-isomorphic to sigma.  The
+    empty pattern is contained in everything."""
+    if not sigma:
         return True
-    if m > n:
-        return False
+    ends_at = ending_matcher(sigma)
+    return any(ends_at(pi[:j], pi[j]) for j in range(len(sigma) - 1, len(pi)))
 
-    def dfs(k: int, start: int, chosen: list[int]) -> bool:
-        if k == m:
-            return True
-        sk = sigma[k]
-        for p in range(start, n - (m - k) + 1):
-            x = pi[p]
-            ok = True
-            for q, v in enumerate(chosen):
-                if (x > v) != (sk > sigma[q]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(x)
-                if dfs(k + 1, p + 1, chosen):
-                    return True
-                chosen.pop()
-        return False
 
-    return dfs(0, 0, [])
+def ending_matcher(sigma: Sequence[int]) -> Callable[[Sequence[int], int], bool]:
+    """
+    For a non-empty pattern sigma, the test ends_at(prefix, x): does prefix
+    followed by x (a value not in prefix) contain an occurrence of sigma
+    whose last entry is x?
+
+    Pruned depth-first subsequence matching: entries of sigma[:-1] are
+    matched left to right in prefix.  The values already fixed (x and the
+    earlier entries) are order-isomorphic to their part of sigma, so a
+    candidate fits iff it lies strictly between the two fixed values that
+    are its neighbours in sigma's order; those neighbours are looked up
+    once per pattern here, not once per candidate.
+    """
+    m = len(sigma) - 1
+    top = float("inf")
+    # chosen[k] holds the value matched to sigma[k] for k < m, chosen[m] is
+    # x, and chosen[m + 1] / chosen[m + 2] stand below / above every value
+    bounds = []
+    for k in range(m):
+        known = [*range(k), m]
+        below = [q for q in known if sigma[q] < sigma[k]]
+        above = [q for q in known if sigma[q] > sigma[k]]
+        bounds.append((max(below, key=sigma.__getitem__, default=m + 1),
+                       min(above, key=sigma.__getitem__, default=m + 2)))
+
+    def ends_at(prefix: Sequence[int], x: int) -> bool:
+        n = len(prefix)
+        if n < m:
+            return False
+        chosen = [0] * m + [x, 0, top]
+
+        def dfs(k: int, start: int) -> bool:
+            if k == m:
+                return True
+            lo, hi = bounds[k]
+            lo, hi = chosen[lo], chosen[hi]
+            for p in range(start, n - m + k + 1):
+                v = prefix[p]
+                if lo < v < hi:
+                    chosen[k] = v
+                    if dfs(k + 1, p + 1):
+                        return True
+            return False
+
+        return dfs(0, 0)
+
+    return ends_at
 
 
 def avoids(pi: Sequence[int], sigma: Sequence[int]) -> bool:
     return not contains(pi, sigma)
-
-
-def avoids_all(pi: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
-    """True iff pi contains none of the given patterns (empty set: True)."""
-    return all(not contains(pi, sigma) for sigma in patterns)
 
 
 def inv(pi: Sequence[int]) -> int:
@@ -109,11 +125,6 @@ def maj(pi: Sequence[int]) -> int:
     return sum(descents(pi))
 
 
-def normalize_pattern_set(patterns: Iterable[Sequence[int]]) -> frozenset[Perm]:
-    """Collapse duplicates into a canonical frozenset of tuples."""
-    return frozenset(perm(p) for p in patterns)
-
-
 def rc_closure_key(patterns: Iterable[Sequence[int]]) -> frozenset[Perm]:
     """
     Canonical key of a pattern set under simultaneous reverse-complement:
@@ -121,7 +132,7 @@ def rc_closure_key(patterns: Iterable[Sequence[int]]) -> frozenset[Perm]:
     sets with equal keys have equinumerous avoiding extension sets on every
     rectangular poset.
     """
-    ps = normalize_pattern_set(patterns)
+    ps = frozenset(perm(p) for p in patterns)
     rc = frozenset(reverse_complement(p) for p in ps)
     return min(ps, rc, key=lambda s: sorted(s))
 

@@ -56,10 +56,6 @@ def mul(a: Sequence[int], b: Sequence[int]) -> QPoly:
     return poly(out)
 
 
-def scale(a: Sequence[int], c: int) -> QPoly:
-    return poly(c * x for x in a)
-
-
 def shift(a: Sequence[int], k: int) -> QPoly:
     """Multiply by the k-th power of the variable."""
     if k < 0:
@@ -141,7 +137,3 @@ def format_x(a: Sequence[int]) -> str:
 
 def to_json_dict(a: Sequence[int]) -> dict:
     return {"coeffs": list(poly(a))}
-
-
-def from_json_dict(d: dict) -> QPoly:
-    return poly(d["coeffs"])

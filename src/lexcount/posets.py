@@ -95,17 +95,36 @@ class GridPoset:
         return tuple(frozenset(p) for p in preds)
 
     @cached_property
+    def succs(self) -> tuple[tuple[int, ...], ...]:
+        """For each element, in increasing order, the elements that must
+        come directly after it: the inverse of ``direct_preds``."""
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for b, preds in enumerate(self.direct_preds, start=1):
+            for a in preds:
+                out[a - 1].append(b)
+        return tuple(tuple(s) for s in out)
+
+    @cached_property
     def _closure(self) -> tuple[frozenset[int], ...]:
-        """ancestors[x-1]: all elements that must precede x."""
-        n = self.n
-        order = _topo_order(n, self.direct_preds)
-        anc: list[set[int]] = [set() for _ in range(n)]
-        for x in order:
-            acc: set[int] = set()
+        """ancestors[x-1]: all elements that must precede x, filled in
+        topological order; raises ValueError on a cycle."""
+        indeg = [len(p) for p in self.direct_preds]
+        ready = [x for x in range(1, self.n + 1) if indeg[x - 1] == 0]
+        anc: list[set[int]] = [set() for _ in range(self.n)]
+        placed = 0
+        while ready:
+            x = ready.pop()
+            placed += 1
+            acc = anc[x - 1]
             for p in self.direct_preds[x - 1]:
                 acc.add(p)
                 acc |= anc[p - 1]
-            anc[x - 1] = acc
+            for y in self.succs[x - 1]:
+                indeg[y - 1] -= 1
+                if indeg[y - 1] == 0:
+                    ready.append(y)
+        if placed != self.n:
+            raise ValueError("precedence constraints contain a cycle")
         return tuple(frozenset(a) for a in anc)
 
     def must_precede(self, a: int, b: int) -> bool:
@@ -117,26 +136,6 @@ class GridPoset:
     def spec_string(self) -> str:
         suffix = f"+{self.tag}" if self.tag else ""
         return f"{self.family}:{self.s}x{self.t}{suffix}"
-
-
-def _topo_order(n: int, preds: Sequence[frozenset[int]]) -> list[int]:
-    indeg = [len(p) for p in preds]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for b in range(1, n + 1):
-        for a in preds[b - 1]:
-            succs[a - 1].append(b)
-    ready = [x for x in range(1, n + 1) if indeg[x - 1] == 0]
-    order: list[int] = []
-    while ready:
-        x = ready.pop()
-        order.append(x)
-        for y in succs[x - 1]:
-            indeg[y - 1] -= 1
-            if indeg[y - 1] == 0:
-                ready.append(y)
-    if len(order) != n:
-        raise ValueError("precedence constraints contain a cycle")
-    return order
 
 
 def _grid_coords(gs: int, gt: int, ne: bool) -> tuple[tuple[int, int], ...]:
@@ -207,9 +206,6 @@ class CanonicalProblem:
     s: int
     t: int
     patterns: frozenset[Perm] = frozenset()
-
-    def poset(self) -> GridPoset:
-        return build(self.family, self.s, self.t)
 
 
 def canonicalize(family: str, s: int, t: int,

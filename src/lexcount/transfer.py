@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .polys import QPoly, format_x, mul, poly, sub
+from .polys import QPoly, poly
 
 BMatrix = tuple[tuple[int, ...], ...]
 
@@ -141,7 +141,3 @@ def recurrence_extend(initial_terms: Sequence[int], charpoly: Sequence[int],
     for _ in range(how_many):
         terms.append(-sum(cp[i] * terms[-i] for i in range(1, d + 1)))
     return tuple(terms)
-
-
-def char_poly_string(t: int) -> str:
-    return format_x(char_poly(t))

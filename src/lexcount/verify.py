@@ -233,22 +233,28 @@ def check_bijections(max_n: int = 12) -> CheckResult:
     return _check("bijection roundtrips and images", failures, n_inst)
 
 
-def check_thm61(max_size: int = 7) -> CheckResult:
-    failures, n_inst = [], 0
+def _two_line(stat: str, rhs, max_size: int) -> tuple[list[str], int]:
+    """Failures and instance count of the `stat` polynomial against
+    rhs(case, n) on the two-line cases (i)-(iv) of Thm 6.1, for n up to
+    max_size."""
     setups = {
         "i": lambda n: (build("EN", 2, n), (3, 2, 1)),
         "ii": lambda n: (build("EN", n, 2), (1, 2, 3)),
         "iii": lambda n: (build("NE", n, 2), (1, 2, 3)),
         "iv": lambda n: (build("NE", 2, n), (1, 2, 3)),
     }
+    failures = []
     for case, setup in setups.items():
         for n in range(1, max_size + 1):
             poset, sigma = setup(n)
-            n_inst += 1
-            got = qstats.stat_gf(poset, [sigma], "inv")
-            want = qstats.thm61_rhs(case, n)
-            if got != want:
+            got = qstats.stat_gf(poset, [sigma], stat)
+            if got != rhs(case, n):
                 failures.append(f"({case}) n={n}: {format_q(got)}")
+    return failures, len(setups) * max_size
+
+
+def check_thm61(max_size: int = 7) -> CheckResult:
+    failures, n_inst = _two_line("inv", qstats.thm61_rhs, max_size)
     return _check("two-line inversion polynomials", failures, n_inst)
 
 
@@ -360,20 +366,7 @@ def conj_F_coefficients(max_s: int = 10) -> list[CheckResult]:
 
 
 def conj_maj_identities(max_size: int = 6) -> CheckResult:
-    failures, n_inst = [], 0
-    setups = {
-        "i": lambda n: (build("EN", 2, n), (3, 2, 1)),
-        "ii": lambda n: (build("EN", n, 2), (1, 2, 3)),
-        "iii": lambda n: (build("NE", n, 2), (1, 2, 3)),
-        "iv": lambda n: (build("NE", 2, n), (1, 2, 3)),
-    }
-    for case, setup in setups.items():
-        for n in range(1, max_size + 1):
-            poset, sigma = setup(n)
-            n_inst += 1
-            got = qstats.stat_gf(poset, [sigma], "maj")
-            if got != qstats.maj_conjecture_rhs(case, n):
-                failures.append(f"({case}) n={n}: {format_q(got)}")
+    failures, n_inst = _two_line("maj", qstats.maj_conjecture_rhs, max_size)
     return _check("two-line major-index polynomials", failures, n_inst,
                   conjecture=True)
 

@@ -1,8 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexcount.cli import main
+from lexcount.posets import FAMILIES
 
 
 @pytest.fixture
@@ -73,6 +77,34 @@ class TestCount:
         code, out, _ = run("count", "--poset", "EN:3x3", "--avoid", "2143")
         assert code == 0
         assert out.splitlines()[0] == "21"
+
+
+class TestDisagreement:
+    @pytest.fixture(autouse=True)
+    def broken_transfer(self, monkeypatch):
+        import lexcount.transfer
+        real = lexcount.transfer.count_2143
+        monkeypatch.setattr(lexcount.transfer, "count_2143",
+                            lambda s, t: real(s, t) + 1)
+
+    def test_count_exits_2(self, run, tmp_path):
+        code, out, err = run("--cache-dir", str(tmp_path), "count",
+                             "--poset", "EN:3x3", "--avoid", "2143")
+        assert code == 2
+        assert out == ("route disagreement: Thm5.9iii=21, oracle=21, "
+                       "transfer=22")
+        assert err == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_table_exits_2(self, run, tmp_path):
+        code, out, err = run("--cache-dir", str(tmp_path), "table",
+                             "--family", "EN", "--avoid", "2143",
+                             "--max-s", "2", "--max-t", "2")
+        assert code == 2
+        assert out == ("route disagreement: Thm5.9i=1, oracle=1, "
+                       "transfer=2 at (1,1)")
+        assert err == ""
+        assert not list(tmp_path.iterdir())
 
 
 class TestList:
@@ -202,6 +234,17 @@ class TestBijection:
                            "--word", "N1 N2")
         assert code == 1
 
+    @pytest.mark.parametrize("poset, word", [
+        ("EN:2x2", "[1, 2]"), ("EN:3x3", "[[1, 2]]"), ("EN:2x2", '{"a": 1}'),
+        ("EN:2x2", "[[1, 2], [3, true]]"), ("EN:2x2", "[[1, 2], [3]]")])
+    def test_tableau_word_must_fit_poset(self, run, poset, word):
+        code, out, err = run("bijection", "--poset", poset,
+                             "--kind", "tableau", "--word", word)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --word must be a JSON list of")
+        assert len(err.splitlines()) == 1
+
     def test_invalid_domain(self, run):
         code, _, err = run("bijection", "--poset", "EN:2x2",
                            "--kind", "tableau", "--perm", "1234")
@@ -280,6 +323,23 @@ class TestCache:
         assert err.startswith("error: cannot write cache entry")
         assert len(err.splitlines()) == 1
 
+    def test_key_comes_from_parsed_arguments(self, run, tmp_path,
+                                             monkeypatch):
+        first = run("--cache-dir", str(tmp_path), "count",
+                    "--poset", "EN:4x4", "--avoid", "1324")
+        monkeypatch.setenv("LEXCOUNT_CACHE_DIR", str(tmp_path))
+        second = run("count", "--avoid", "1324", "--format", "plain",
+                     "--poset", "EN:4x4")
+        assert first == second
+        assert first[0] == 0
+        assert len(list(tmp_path.iterdir())) == 1
+        # json echoes --avoid as given, so its order still tells entries apart
+        pair = ("count", "--poset", "EN:3x3", "--format", "json")
+        one = run(*pair, "--avoid", "123", "--avoid", "132")
+        two = run(*pair, "--avoid", "132", "--avoid", "123")
+        assert one != two
+        assert len(list(tmp_path.iterdir())) == 3
+
     def test_uncacheable_commands_skip_cache(self, run, tmp_path):
         run("--cache-dir", str(tmp_path), "charpoly", "--t", "3")
         assert not list(tmp_path.iterdir())
@@ -293,3 +353,66 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "count" in capsys.readouterr().out
+
+
+SPECS = st.one_of(
+    st.builds("{}:{}x{}{}".format, st.sampled_from(FAMILIES),
+              st.integers(0, 3), st.integers(0, 3),
+              st.sampled_from(["", "+saw", "+zip"])),
+    st.sampled_from(["EN:2y2", "XX:2x2", "EN:2x2+foo", "NE:2x2+saw", "EN:",
+                     ":2x2", "EN:2x2x2", " EN:1x1 "]) | st.text(max_size=8))
+PERM_TEXTS = st.one_of(
+    st.integers(1, 4).flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(lambda p: "".join(map(str, p))),
+    st.text("0123456789,- ", max_size=6), st.text(max_size=5))
+JSON_WORDS = st.recursive(
+    st.integers(-2, 12) | st.booleans() | st.none() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=12).map(json.dumps)
+GRIDS = st.lists(st.lists(st.integers(0, 9), max_size=4) | st.integers(0, 9),
+                 max_size=4).map(json.dumps)
+
+
+@st.composite
+def cli_argvs(draw):
+    """Small argv for every subcommand but verify, mostly well-formed,
+    now and then with a stray trailing argument."""
+    cmd = draw(st.sampled_from(["count", "list", "table", "qpoly",
+                                "bijection", "charpoly"]))
+    fmt = ["--format", draw(st.sampled_from(["plain", "json", "csv"]))]
+    avoid = [arg for p in draw(st.lists(PERM_TEXTS, max_size=2))
+             for arg in ("--avoid", p)]
+    if cmd == "charpoly":
+        return [cmd, "--t", str(draw(st.integers(-1, 5)))] + fmt
+    if cmd == "table":
+        family = draw(st.sampled_from(FAMILIES) | st.text(max_size=3))
+        return ([cmd, "--family", family,
+                 "--max-s", str(draw(st.integers(-1, 3))),
+                 "--max-t", str(draw(st.integers(-1, 3)))] + avoid + fmt)
+    argv = [cmd, "--poset", draw(SPECS)] + fmt
+    if cmd == "bijection":
+        argv += ["--kind", draw(st.sampled_from(["tableau", "fcpath",
+                                                 "zipper"]))]
+        inputs = draw(st.sampled_from([["--perm"], ["--word"], ["--word"],
+                                       ["--perm", "--word"]]))
+        if "--perm" in inputs:
+            argv += ["--perm", draw(PERM_TEXTS | JSON_WORDS)]
+        if "--word" in inputs:
+            argv += ["--word", draw(GRIDS | JSON_WORDS | st.text(max_size=12))]
+        return argv
+    if cmd == "count" and draw(st.booleans()):
+        argv += ["--route", draw(st.sampled_from(["formula", "transfer",
+                                                  "ideal-dp", "oracle"]))]
+    if cmd == "qpoly":
+        argv += ["--stat", draw(st.sampled_from(["inv", "maj"]))]
+    return argv + avoid + draw(st.lists(st.text(max_size=3), max_size=1))
+
+
+class TestRobustness:
+    @given(cli_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_never_a_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()

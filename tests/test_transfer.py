@@ -3,8 +3,8 @@ import pytest
 from lexcount.engine import count_avoiders
 from lexcount.formulas import count_2143_closed
 from lexcount.posets import build
-from lexcount.transfer import (a_vector, b_matrix, char_poly, char_poly_string,
-                               count_2143, recurrence_extend)
+from lexcount.transfer import (a_vector, b_matrix, char_poly, count_2143,
+                               recurrence_extend)
 
 
 class TestBMatrix:
@@ -81,10 +81,6 @@ class TestCharPoly:
 
     def test_t5(self):
         assert char_poly(5) == (1, -16, -57, 1)
-
-    def test_string_form(self):
-        assert char_poly_string(3) == "1 - 4x - x^2"
-        assert char_poly_string(4) == "1 - 8x - 9x^2"
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
     def test_recurrence_reproduces_counts(self, t):
