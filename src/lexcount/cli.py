@@ -239,12 +239,23 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
+def _source_digest() -> str:
+    """sha256 of the package's own .py sources, in file-name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def _cache_key(args: argparse.Namespace) -> str:
-    """sha256 of the parsed arguments, so that flag order, defaults spelled
-    out and the way the cache dir is given do not matter.  --avoid keeps
-    its order and repeats, since json output echoes them."""
+    """sha256 of the parsed arguments and of the package's sources, so
+    that flag order, defaults spelled out and the way the cache dir is
+    given do not matter, and an answer is not reused once the code that
+    produced it changes.  --avoid keeps its order and repeats, since json
+    output echoes them."""
     fields = {k: v for k, v in vars(args).items()
               if k not in ("cache_dir", "func", "cacheable")}
+    fields["source"] = _source_digest()
     return hashlib.sha256(
         json.dumps(fields, sort_keys=True).encode()).hexdigest()
 

@@ -7,14 +7,14 @@ come out in lexicographic order.  Pattern filtering prunes a branch as
 soon as the partial extension contains a forbidden pattern; since a
 contained pattern can never be destroyed by appending, it is enough to
 test occurrences that end at the newly placed element.  They serve
-listing and q-polynomials, and are the plain reference the counting DPs
-are tested against.
+listing, and are the plain reference the DPs below are tested against.
 
 `count_avoiders` counts without listing, by a forward DP over prefix
 length.  A prefix matters to its completions only through the order
 ideal it fills and its partial pattern matches, each matched value
 replaced by its rank among the values not yet placed; prefixes that agree
-on both are merged.
+on both are merged.  `stat_gf` runs the same DP with a q-polynomial
+weight per state instead of a count, to sum q^inv or q^maj.
 
 `count_extensions` counts pattern-free extensions by dynamic programming
 over order ideals alone.
@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .perms import Perm, contains, ending_matcher, perm
+from .polys import QPoly
 from .posets import GridPoset, build
 
 
@@ -43,7 +45,7 @@ class GenericTracker:
         self._ends_at = ending_matcher(sigma)
 
     def completes(self, x: int) -> bool:
-        return self._ends_at(self.prefix, x)
+        return self._ends_at(self.prefix, len(self.prefix), x)
 
     def push(self, x: int) -> None:
         self.prefix.append(x)
@@ -182,14 +184,48 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
 
 
 def count_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> int:
-    """Number of linear extensions avoiding every pattern.
+    """Number of linear extensions avoiding every pattern."""
+    return _avoider_dp(poset, patterns, None, 0)
 
-    Layer k maps each state reachable by a k-element prefix to the number
-    of such prefixes.  A state is (mask of placed elements, frozenset of
-    partial matches (pattern index, gaps)), where gaps[q] is the number of
-    unplaced values below the value matched to sigma[q].  Placing a value
+
+def stat_gf(poset: GridPoset, patterns: Iterable[Sequence[int]],
+            stat: str = "inv") -> QPoly:
+    """Sum of q^stat over the pattern-avoiding extensions of poset, for
+    stat "inv" or "maj" (KeyError otherwise, before any work).
+
+    Runs the avoider DP with each weight a polynomial packed into one int,
+    coefficient e in bits [e*w, (e+1)*w).  A coefficient counts prefixes
+    of extensions, at most n!, so with w = bit_length(n!) no coefficient
+    carries into the next: multiplying by q^e is a shift by e*w and adding
+    polynomials is adding ints.
+    """
+    if stat not in ("inv", "maj"):
+        raise KeyError(stat)
+    width = factorial(poset.n).bit_length()
+    packed = _avoider_dp(poset, patterns, stat, width)
+    low = (1 << width) - 1
+    out = []
+    while packed:
+        out.append(packed & low)
+        packed >>= width
+    return tuple(out)
+
+
+def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
+                stat: Optional[str], width: int) -> int:
+    """Total weight of the pattern-avoiding extensions: their number if
+    stat is None, else the sum of q^stat packed as in `stat_gf`.
+
+    Layer k maps each state reachable by a k-element prefix to the total
+    weight of such prefixes.  A state is (mask of placed elements, frozenset
+    of partial matches (pattern index, gaps)), where gaps[q] is the number
+    of unplaced values below the value matched to sigma[q].  Placing a value
     with r unplaced values below it lies above exactly the matched values
     with gap <= r, so the gaps decide every comparison with future values.
+    Placing x adds to inv the number of placed values above x, which the
+    mask knows.  It adds k to maj if x is below the last placed value, that
+    is if r is below that value's own count of unplaced values below it;
+    for maj the mask holds that count in the bits above n.
     """
     pats = sorted({perm(p) for p in patterns})
     if () in pats:
@@ -231,7 +267,7 @@ def count_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> int:
         return frozenset(new)
 
     layer: dict[tuple[int, frozenset], int] = {(0, frozenset()): 1}
-    for _ in range(n):
+    for k in range(n):
         nxt: dict[tuple[int, frozenset], int] = {}
         for (mask, matches), ways in layer.items():
             free = full & ~mask
@@ -241,9 +277,17 @@ def count_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> int:
                     continue
                 r = (free & (bit - 1)).bit_count()
                 after = advance(matches, r)
-                if after is not None:
+                if after is None:
+                    continue
+                if stat is None:
+                    state, w = (mask | bit, after), ways
+                elif stat == "inv":
                     state = (mask | bit, after)
-                    nxt[state] = nxt.get(state, 0) + ways
+                    w = ways << width * (mask >> x).bit_count()
+                else:
+                    state = ((mask & full) | bit | r << n, after)
+                    w = ways << width * k if r < mask >> n else ways
+                nxt[state] = nxt.get(state, 0) + w
         layer = nxt
     return sum(layer.values())
 

@@ -11,6 +11,7 @@ digit string ("1243"), longer ones as comma-separated integers
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -52,18 +53,19 @@ def contains(pi: Sequence[int], sigma: Sequence[int]) -> bool:
     empty pattern is contained in everything."""
     if not sigma:
         return True
-    ends_at = ending_matcher(sigma)
-    return any(ends_at(pi[:j], pi[j]) for j in range(len(sigma) - 1, len(pi)))
+    ends_at = ending_matcher(tuple(sigma))
+    return any(ends_at(pi, j, pi[j]) for j in range(len(sigma) - 1, len(pi)))
 
 
-def ending_matcher(sigma: Sequence[int]) -> Callable[[Sequence[int], int], bool]:
+@lru_cache(maxsize=None)
+def ending_matcher(sigma: Perm) -> Callable[[Sequence[int], int, int], bool]:
     """
-    For a non-empty pattern sigma, the test ends_at(prefix, x): does prefix
-    followed by x (a value not in prefix) contain an occurrence of sigma
-    whose last entry is x?
+    For a non-empty pattern sigma, the test ends_at(seq, n, x): does
+    seq[:n] followed by x (a value not in seq[:n]) contain an occurrence of
+    sigma whose last entry is x?  Built once per pattern.
 
     Pruned depth-first subsequence matching: entries of sigma[:-1] are
-    matched left to right in prefix.  The values already fixed (x and the
+    matched left to right in seq[:n].  The values already fixed (x and the
     earlier entries) are order-isomorphic to their part of sigma, so a
     candidate fits iff it lies strictly between the two fixed values that
     are its neighbours in sigma's order; those neighbours are looked up
@@ -81,26 +83,22 @@ def ending_matcher(sigma: Sequence[int]) -> Callable[[Sequence[int], int], bool]
         bounds.append((max(below, key=sigma.__getitem__, default=m + 1),
                        min(above, key=sigma.__getitem__, default=m + 2)))
 
-    def ends_at(prefix: Sequence[int], x: int) -> bool:
-        n = len(prefix)
-        if n < m:
-            return False
-        chosen = [0] * m + [x, 0, top]
+    def dfs(seq: Sequence[int], n: int, chosen: list, k: int,
+            start: int) -> bool:
+        if k == m:
+            return True
+        lo, hi = bounds[k]
+        lo, hi = chosen[lo], chosen[hi]
+        for p in range(start, n - m + k + 1):
+            v = seq[p]
+            if lo < v < hi:
+                chosen[k] = v
+                if dfs(seq, n, chosen, k + 1, p + 1):
+                    return True
+        return False
 
-        def dfs(k: int, start: int) -> bool:
-            if k == m:
-                return True
-            lo, hi = bounds[k]
-            lo, hi = chosen[lo], chosen[hi]
-            for p in range(start, n - m + k + 1):
-                v = prefix[p]
-                if lo < v < hi:
-                    chosen[k] = v
-                    if dfs(k + 1, p + 1):
-                        return True
-            return False
-
-        return dfs(0, 0)
+    def ends_at(seq: Sequence[int], n: int, x: int) -> bool:
+        return n >= m and dfs(seq, n, [0] * m + [x, 0, top], 0, 0)
 
     return ends_at
 

@@ -1,6 +1,7 @@
 """
 q-analogues: statistic generating functions over pattern-avoiding
 extensions, the q-Catalan families, and the closed forms they match.
+`stat_gf` is the engine's avoider DP carrying q-weights, re-exported here.
 
 Conventions.  A Catalan word is a 0/1 word of length 2n, n of each
 letter, in which every prefix has at least as many 0s as 1s.  C_n(q)
@@ -11,15 +12,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .engine import avoiders
+from .engine import stat_gf  # noqa: F401 -- computed by the avoider DP
 from .perms import inv, maj
-from .polys import (QPoly, add, degree, monomial, mul, poly,
-                    reverse_on_degree, shift)
-from .posets import GridPoset
-
-STATS: dict[str, Callable[[Sequence[int]], int]] = {"inv": inv, "maj": maj}
+from .polys import QPoly, add, degree, monomial, mul, reverse_on_degree, shift
 
 
 def q_int(n: int) -> QPoly:
@@ -84,22 +81,6 @@ def maj_q_catalan(n: int) -> QPoly:
     for w in catalan_words(n):
         out = add(out, monomial(maj(w)))
     return out
-
-
-def stat_gf(poset: GridPoset, patterns: Iterable[Sequence[int]],
-            stat: str = "inv") -> QPoly:
-    """Sum of q^stat over the pattern-avoiding extensions of poset."""
-    f = STATS[stat]
-    counts: dict[int, int] = {}
-    for pi in avoiders(poset, patterns):
-        k = f(pi)
-        counts[k] = counts.get(k, 0) + 1
-    if not counts:
-        return ()
-    out = [0] * (max(counts) + 1)
-    for k, c in counts.items():
-        out[k] = c
-    return poly(out)
 
 
 def thm61_rhs(case: str, size: int) -> QPoly:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from . import formulas, gentree, paths, qstats, transfer
 from .engine import count_avoiders, count_extensions
-from .perms import maj, reverse_complement
+from .perms import reverse_complement
 from .polys import degree, format_q, is_unimodal, poly
 from .posets import build, canonicalize, saw_poset, zip_poset
 
@@ -374,13 +374,14 @@ def conj_maj_identities(max_size: int = 6) -> CheckResult:
 def conj_maj_ratio_1243(max_n: int = 12) -> CheckResult:
     """Maximum major index claimed to be exactly twice the minimum over
     the 1243-avoiding EN extensions."""
-    from .engine import avoiders
     failures, n_inst = [], 0
     for s, t in _shapes(max_n):
-        majs = [maj(pi) for pi in avoiders(build("EN", s, t), [(1, 2, 4, 3)])]
         n_inst += 1
-        if max(majs) != 2 * min(majs):
-            failures.append(f"({s},{t}): min {min(majs)}, max {max(majs)}")
+        gf = qstats.stat_gf(build("EN", s, t), [(1, 2, 4, 3)], "maj")
+        lo = next(k for k, c in enumerate(gf) if c)
+        hi = degree(gf)
+        if hi != 2 * lo:
+            failures.append(f"({s},{t}): min {lo}, max {hi}")
     return _check("1243 major-index max = 2 min", failures, n_inst,
                   conjecture=True)
 

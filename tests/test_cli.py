@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexcount import cli
 from lexcount.cli import main
 from lexcount.posets import FAMILIES
 
@@ -339,6 +340,20 @@ class TestCache:
         two = run(*pair, "--avoid", "132", "--avoid", "123")
         assert one != two
         assert len(list(tmp_path.iterdir())) == 3
+
+    def test_key_names_the_source(self, run, tmp_path, monkeypatch):
+        argv = ("--cache-dir", str(tmp_path), "qpoly", "--poset", "EN:3x3",
+                "--avoid", "1243", "--stat", "maj")
+        first = run(*argv)
+        (entry,) = tmp_path.iterdir()
+        entry.write_text(json.dumps({"code": 0, "output": "stale"}))
+        assert run(*argv) == (0, "stale", "")  # same source: a cache hit
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        assert run(*argv) == first
+        (fresh,) = set(tmp_path.iterdir()) - {entry}
+        assert json.loads(fresh.read_text())["output"] == first[1]
+        fresh.write_text(json.dumps({"code": 0, "output": "stale"}))
+        assert run(*argv) == (0, "stale", "")  # the new key is used again
 
     def test_uncacheable_commands_skip_cache(self, run, tmp_path):
         run("--cache-dir", str(tmp_path), "charpoly", "--t", "3")

@@ -7,6 +7,7 @@ from lexcount.engine import (avoiders, count_avoiders, count_extensions,
                              insert_213, is_extension, linear_extensions,
                              make_tracker)
 from lexcount.perms import contains
+from lexcount.qstats import stat_gf
 from lexcount.posets import (FAMILIES, GridPoset, build, empty_poset,
                              saw_poset, zip_poset)
 
@@ -180,6 +181,21 @@ class TestAvoiderDP:
     def test_en_5x5_2143(self):
         # the published t = 5, s = 5 entry of the 2143 table
         assert count_avoiders(build("EN", 5, 5), [(2, 1, 4, 3)]) == 266110
+
+
+class TestFamilySymmetry:
+    """NE(s, t) and NW(t, s), like EN(s, t) and WN(t, s), are one poset
+    with one labelling, so every count and polynomial must agree."""
+
+    @given(_shapes, _patterns, st.sampled_from([("NE", "NW"), ("EN", "WN")]))
+    @settings(max_examples=60, deadline=None)
+    def test_swapped_family_agrees(self, shape, patterns, pair):
+        s, t = shape
+        a, b = build(pair[0], s, t), build(pair[1], t, s)
+        assert count_avoiders(a, patterns) == count_avoiders(b, patterns)
+        for stat in ("inv", "maj"):
+            assert (stat_gf(a, patterns, stat)
+                    == stat_gf(b, patterns, stat)), stat
 
 
 class TestInsert213:

@@ -1,11 +1,16 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexcount import verify
+from lexcount.engine import avoiders
 from lexcount.formulas import catalan, fibonacci
-from lexcount.polys import degree, eval_at_one, is_unimodal, reverse_on_degree
-from lexcount.posets import build
+from lexcount.perms import inv, maj
+from lexcount.polys import (add, degree, eval_at_one, is_unimodal, monomial,
+                            reverse_on_degree)
+from lexcount.posets import build, empty_poset
+from test_engine import _patterns, _posets, cyclic_poset
 from lexcount.qstats import (F_poly, catalan_words, conj_1243_rhs,
                              conj_2143_t2_rhs, conj_2143_t3_rhs,
                              f_coeff_export, maj_q_catalan, q_catalan,
@@ -62,6 +67,43 @@ class TestStatGf:
     def test_unknown_stat_rejected(self):
         with pytest.raises(KeyError):
             stat_gf(build("EN", 2, 2), [], stat="des")
+        with pytest.raises(KeyError):  # before the pattern is looked at
+            stat_gf(build("EN", 2, 2), [(1, 3)], stat="des")
+
+
+def enumerated_gf(poset, patterns, stat):
+    """Reference: q^stat summed over the listed avoiders."""
+    f = {"inv": inv, "maj": maj}[stat]
+    out = ()
+    for pi in avoiders(poset, patterns):
+        out = add(out, monomial(f(pi)))
+    return out
+
+
+class TestStatGfDP:
+    """stat_gf (the avoider DP with q-weights) against enumeration."""
+
+    @given(_posets, _patterns, st.sampled_from(["inv", "maj"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_enumeration(self, poset, patterns, stat):
+        assert (stat_gf(poset, patterns, stat)
+                == enumerated_gf(poset, patterns, stat))
+
+    @pytest.mark.parametrize("stat", ["inv", "maj"])
+    def test_edge_cases(self, stat):
+        assert stat_gf(build("EN", 2, 2), [()], stat) == ()
+        assert stat_gf(empty_poset(), [], stat) == (1,)
+        assert stat_gf(empty_poset(), [(1,)], stat) == (1,)
+        assert stat_gf(build("NE", 2, 3), [(1,)], stat) == ()
+
+    def test_cycle_detected(self):
+        for stat in ("inv", "maj"):
+            with pytest.raises(ValueError, match="cycle"):
+                stat_gf(cyclic_poset(), [(1, 2, 3)], stat)
+
+    def test_en_5x5_2143(self):
+        gf = stat_gf(build("EN", 5, 5), [(2, 1, 4, 3)], "inv")
+        assert eval_at_one(gf) == 266110
 
 
 class TestClosedForms:
