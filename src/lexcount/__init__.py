@@ -3,7 +3,8 @@ rectangular posets: counting engines, closed forms, bijections with
 lattice paths and tableaux, transfer matrices, and q-statistics."""
 
 from .engine import (avoiders, count_avoiders, count_extensions,
-                     insert_213, is_extension, linear_extensions)
+                     insert_213, is_extension, linear_extensions,
+                     list_avoiders)
 from .formulas import (catalan, count_formula, fibonacci, fuss_catalan,
                        hook_count, inv_bounds_1243)
 from .gentree import children_labels, count_at_depth, grow_extensions, saw_label
@@ -18,7 +19,7 @@ from .transfer import (a_vector, b_matrix, char_poly, count_2143,
 
 __all__ = [
     "avoiders", "count_avoiders", "count_extensions", "insert_213",
-    "is_extension", "linear_extensions",
+    "is_extension", "linear_extensions", "list_avoiders",
     "catalan", "count_formula", "fibonacci", "fuss_catalan", "hook_count",
     "inv_bounds_1243",
     "children_labels", "count_at_depth", "grow_extensions", "saw_label",

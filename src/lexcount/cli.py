@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
 from . import formulas, paths, qstats, transfer, verify
-from .engine import count_avoiders, count_extensions, avoiders
+from .engine import count_avoiders, count_extensions, list_avoiders
 from .perms import descents, format_perm, parse_perm
 from .polys import format_q, format_x, to_json_dict
 from .posets import (FAMILIES, GridPoset, build, canonicalize,
@@ -94,7 +94,7 @@ def cmd_list(args: argparse.Namespace) -> tuple[int, str]:
     if poset.n > ORACLE_GUARD and not args.force:
         raise CliError(
             f"listing refused for {poset.n} elements; pass --force")
-    exts = [format_perm(pi) for pi in avoiders(poset, patterns)]
+    exts = [format_perm(pi) for pi in list_avoiders(poset, patterns)]
     if args.format == "json":
         return 0, json.dumps({"poset": poset.spec_string(),
                               "patterns": [format_perm(p) for p in patterns],

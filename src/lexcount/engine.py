@@ -1,27 +1,29 @@
 """
 Enumerate and count (pattern-avoiding) linear extensions.
 
-`linear_extensions` and `avoiders` are backtracking generators that always
-try currently-available elements in increasing label order, so extensions
-come out in lexicographic order.  Pattern filtering prunes a branch as
-soon as the partial extension contains a forbidden pattern; since a
-contained pattern can never be destroyed by appending, it is enough to
-test occurrences that end at the newly placed element.  They serve
-listing, and are the plain reference the DPs below are tested against.
-
-`count_avoiders` counts without listing, by a forward DP over prefix
-length.  A prefix matters to its completions only through the order
-ideal it fills and its partial pattern matches, each matched value
+`count_avoiders`, `stat_gf` and `list_avoiders` share one forward DP over
+prefix length.  A prefix matters to its completions only through the
+order ideal it fills and its partial pattern matches, each matched value
 replaced by its rank among the values not yet placed; prefixes that agree
-on both are merged.  `stat_gf` runs the same DP with a q-polynomial
-weight per state instead of a count, to sum q^inv or q^maj.
+on both are merged into one state.  `count_avoiders` keeps a count per
+state, `stat_gf` a q-polynomial, to sum q^inv or q^maj.  `list_avoiders`
+keeps each state's out-edges instead, drops the states from which no
+extension can be completed, and walks what is left in increasing label
+order, so it lists the avoiders lexicographically and never enters a dead
+branch.
+
+`avoiders` is the independent reference the DP is tested against: a
+backtracking generator that tries the available elements in increasing
+label order and prunes a branch as soon as the prefix contains a
+forbidden pattern.  Since a contained pattern can never be destroyed by
+appending, it tests only occurrences that end at the newly placed
+element.
 
 `count_extensions` counts pattern-free extensions by dynamic programming
 over order ideals alone.
 """
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
@@ -29,106 +31,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .perms import Perm, contains, ending_matcher, perm
 from .polys import QPoly
 from .posets import GridPoset, build
-
-
-# ---------------------------------------------------------------------------
-# incremental pattern trackers
-
-class GenericTracker:
-    """Checks whether appending x completes an occurrence of sigma, with
-    x fixed as the last pattern entry (`perms.ending_matcher`)."""
-
-    def __init__(self, sigma: Perm):
-        if len(sigma) == 0:
-            raise ValueError("empty pattern forbids everything")
-        self.prefix: list[int] = []
-        self._ends_at = ending_matcher(sigma)
-
-    def completes(self, x: int) -> bool:
-        return self._ends_at(self.prefix, len(self.prefix), x)
-
-    def push(self, x: int) -> None:
-        self.prefix.append(x)
-
-    def pop(self) -> None:
-        self.prefix.pop()
-
-
-class Tracker123:
-    """O(1) tracker for the pattern 123: appending x completes 123 iff some
-    earlier ascent has its top below x.  Keeps, per prefix length, the
-    minimum over ascents (i < j, w_i < w_j) of w_j, and the prefix minimum."""
-
-    _INF = float("inf")
-
-    def __init__(self, sigma: Perm):
-        assert sigma == (1, 2, 3)
-        self._stack: list[tuple[float, float]] = [(self._INF, self._INF)]
-
-    def completes(self, x: int) -> bool:
-        return self._stack[-1][1] < x
-
-    def push(self, x: int) -> None:
-        lo, top = self._stack[-1]
-        if x > lo:
-            top = min(top, x)
-        self._stack.append((min(lo, x), top))
-
-    def pop(self) -> None:
-        self._stack.pop()
-
-
-class Tracker2143:
-    """Tracker for the pattern 2143.  Appending x (as the '3') completes an
-    occurrence iff there is a position p with w_p > x (the '4') preceded by
-    an inversion whose top value is below x (the '21').  Maintains, per
-    position, the minimum inversion-top over pairs lying strictly before
-    that position, plus a sorted list of prefix values."""
-
-    _INF = float("inf")
-
-    def __init__(self, sigma: Perm):
-        assert sigma == (2, 1, 4, 3)
-        self.prefix: list[int] = []
-        self._min_top_before: list[float] = []  # over pairs before w[p]
-        self._min_top_after: list[float] = []   # over pairs within w[..p]
-        self._sorted: list[int] = []
-        self._cur_min_top: float = self._INF
-
-    def completes(self, x: int) -> bool:
-        mtb = self._min_top_before
-        for p, v in enumerate(self.prefix):
-            if v > x and mtb[p] < x:
-                return True
-        return False
-
-    def push(self, x: int) -> None:
-        self.prefix.append(x)
-        self._min_top_before.append(self._cur_min_top)
-        # new inversions (v, x) for every earlier v > x; the least such top
-        # is the successor of x among prefix values
-        i = bisect_right(self._sorted, x)
-        if i < len(self._sorted):
-            self._cur_min_top = min(self._cur_min_top, self._sorted[i])
-        self._min_top_after.append(self._cur_min_top)
-        insort(self._sorted, x)
-
-    def pop(self) -> None:
-        x = self.prefix.pop()
-        self._min_top_before.pop()
-        self._min_top_after.pop()
-        self._sorted.remove(x)
-        self._cur_min_top = (self._min_top_after[-1]
-                             if self._min_top_after else self._INF)
-
-
-def make_tracker(sigma: Sequence[int]):
-    sig = perm(sigma)
-    if sig == (1, 2, 3):
-        return Tracker123(sig)
-    if sig == (2, 1, 4, 3):
-        return Tracker2143(sig)
-    return GenericTracker(sig)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +42,8 @@ def linear_extensions(poset: GridPoset) -> Iterator[Perm]:
 
 
 def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Perm]:
-    """Linear extensions avoiding every pattern, in lexicographic order.
+    """Linear extensions avoiding every pattern, in lexicographic order,
+    by backtracking.
 
     Cyclic constraint sets are rejected here, before iteration starts.
     """
@@ -148,7 +51,7 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
     patset = {tuple(p) for p in patterns}
     if any(len(p) == 0 for p in patset):
         return iter(())  # the empty pattern is contained in everything
-    trackers = [make_tracker(p) for p in sorted(patset)]
+    matchers = [ending_matcher(perm(p)) for p in sorted(patset)]
     poset._closure  # noqa: B018 -- topological sort; raises on a cycle
     indeg = [len(p) for p in poset.direct_preds]
     succs = poset.succs
@@ -156,24 +59,21 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
     prefix: list[int] = []
 
     def rec() -> Iterator[Perm]:
-        if len(prefix) == n:
+        k = len(prefix)
+        if k == n:
             yield tuple(prefix)
             return
         for x in range(1, n + 1):
             if indeg[x - 1] != 0:
                 continue
-            if any(tr.completes(x) for tr in trackers):
+            if any(ends_at(prefix, k, x) for ends_at in matchers):
                 continue
             indeg[x - 1] = -1
             for y in succs[x - 1]:
                 indeg[y - 1] -= 1
-            for tr in trackers:
-                tr.push(x)
             prefix.append(x)
             yield from rec()
             prefix.pop()
-            for tr in trackers:
-                tr.pop()
             for y in succs[x - 1]:
                 indeg[y - 1] += 1
             indeg[x - 1] = 0
@@ -181,6 +81,47 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
     if n == 0:
         return iter([()])  # the empty poset has exactly one extension
     return rec()
+
+
+def list_avoiders(poset: GridPoset,
+                  patterns: Iterable[Sequence[int]]) -> Iterator[Perm]:
+    """Linear extensions avoiding every pattern, in lexicographic order:
+    the list `avoiders` gives, read off the avoider DP's state graph.
+
+    The graph is built and pruned before the iterator is returned, so a
+    cyclic poset or a bad pattern raises here.  A backward pass keeps only
+    the edges into states from which some extension can be completed;
+    every state of the last layer can, and a state of an earlier layer
+    can iff it keeps an edge.  Dead states are freed on return.
+    """
+    layers = _avoider_dp(poset, patterns, "list", 0)
+    if not layers[0]:
+        return iter(())
+    if poset.n == 0:
+        return iter([()])
+    # every edge out of layer n - 1 is live; the last layer has none
+    for layer in reversed(layers[:-2]):
+        for edges in layer:
+            edges[:] = [e for e in edges if e[1]]
+    return _walk(layers[0][0])
+
+
+def _walk(root: list) -> Iterator[Perm]:
+    """Label sequences of the paths from root to the last layer of a
+    pruned state graph, whose edge lists are in increasing label order."""
+    prefix: list[int] = []
+    stack = [iter(root)]
+    while stack:
+        for x, child in stack[-1]:
+            if child:
+                prefix.append(x)
+                stack.append(iter(child))
+                break
+            yield (*prefix, x)
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
 
 def count_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> int:
@@ -212,28 +153,33 @@ def stat_gf(poset: GridPoset, patterns: Iterable[Sequence[int]],
 
 
 def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
-                stat: Optional[str], width: int) -> int:
+                stat: Optional[str], width: int) -> int | list[list[list]]:
     """Total weight of the pattern-avoiding extensions: their number if
-    stat is None, else the sum of q^stat packed as in `stat_gf`.
+    stat is None, else the sum of q^stat packed as in `stat_gf`.  If stat
+    is "list", the state graph instead: layers[k] holds the out-edge list
+    [(label, child's out-edge list)] of every state of layer k, labels
+    increasing.
 
     Layer k maps each state reachable by a k-element prefix to the total
     weight of such prefixes.  A state is (mask of placed elements, frozenset
     of partial matches (pattern index, gaps)), where gaps[q] is the number
-    of unplaced values below the value matched to sigma[q].  Placing a value
-    with r unplaced values below it lies above exactly the matched values
-    with gap <= r, so the gaps decide every comparison with future values.
-    Placing x adds to inv the number of placed values above x, which the
-    mask knows.  It adds k to maj if x is below the last placed value, that
-    is if r is below that value's own count of unplaced values below it;
-    for maj the mask holds that count in the bits above n.
+    of unplaced values below the value matched to sigma[q]; the empty match
+    of every pattern is always there.  Placing a value with r unplaced
+    values below it lies above exactly the matched values with gap <= r,
+    so the gaps decide every comparison with future values.  Placing x adds
+    to inv the number of placed values above x, which the mask knows.  It
+    adds k to maj if x is below the last placed value, that is if r is
+    below that value's own count of unplaced values below it; for maj the
+    mask holds that count in the bits above n.
     """
     pats = sorted({perm(p) for p in patterns})
-    if () in pats:
-        return 0  # the empty pattern is contained in everything
-    poset._closure  # noqa: B018 -- topological sort; raises on a cycle
+    listing = stat == "list"
+    layer: dict = {}
+    if () not in pats:  # the empty pattern is contained in everything
+        poset._closure  # noqa: B018 -- topological sort; raises on a cycle
+        root = frozenset((i, ()) for i in range(len(pats)))
+        layer[0, root] = [] if listing else 1
     n = poset.n
-    if (1,) in pats:
-        return int(n == 0)
     pred_masks = _pred_masks(poset)
     # above[i][k][q]: must the value matched to sigma_i[k] exceed sigma_i[q]?
     above = [[tuple(sig[k] > sig[q] for q in range(k)) for k in range(len(sig))]
@@ -256,7 +202,7 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     def advance(matches: frozenset, r: int) -> Optional[frozenset]:
         """The partial matches after placing a value of rank r, or None if
         the value completes a pattern."""
-        new = {(i, (r,)) for i in range(len(pats))}
+        new = set()
         for match in matches:
             kept, grown = step(match, r)
             new.add(kept)
@@ -266,9 +212,11 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
                 new.add(grown)
         return frozenset(new)
 
-    layer: dict[tuple[int, frozenset], int] = {(0, frozenset()): 1}
+    layers = []
     for k in range(n):
-        nxt: dict[tuple[int, frozenset], int] = {}
+        if listing:
+            layers.append(list(layer.values()))
+        nxt: dict = {}
         for (mask, matches), ways in layer.items():
             free = full & ~mask
             for x in range(n):
@@ -281,6 +229,13 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
                     continue
                 if stat is None:
                     state, w = (mask | bit, after), ways
+                elif listing:  # ways is this state's out-edge list
+                    state = (mask | bit, after)
+                    child = nxt.get(state)
+                    if child is None:
+                        child = nxt[state] = []
+                    ways.append((x + 1, child))
+                    continue
                 elif stat == "inv":
                     state = (mask | bit, after)
                     w = ways << width * (mask >> x).bit_count()
@@ -289,6 +244,8 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
                     w = ways << width * k if r < mask >> n else ways
                 nxt[state] = nxt.get(state, 0) + w
         layer = nxt
+    if listing:
+        return layers + [list(layer.values())]
     return sum(layer.values())
 
 

@@ -124,6 +124,15 @@ class TestList:
         assert code == 1
         assert "force" in err
 
+    def test_no_extensions(self, run, capsys):
+        # every extension contains 1: one empty line, not an error
+        assert main(["list", "--poset", "EN:2x2", "--avoid", "1"]) == 0
+        assert capsys.readouterr().out == "\n"
+        code, out, _ = run("list", "--poset", "EN:2x2", "--avoid", "1",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["extensions"] == []
+
 
 class TestTable:
     def test_json_rows(self, run):

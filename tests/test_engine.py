@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexcount.engine import (avoiders, count_avoiders, count_extensions,
                              insert_213, is_extension, linear_extensions,
-                             make_tracker)
+                             list_avoiders)
 from lexcount.perms import contains
 from lexcount.qstats import stat_gf
 from lexcount.posets import (FAMILIES, GridPoset, build, empty_poset,
@@ -80,41 +80,6 @@ class TestPatternPruning:
         assert (count_avoiders(p, [(1, 2, 3), [1, 2, 3], (1, 2, 3)])
                 == count_avoiders(p, [(1, 2, 3)]) == 5)
 
-    @given(st.permutations(list(range(1, 7))))
-    @settings(max_examples=50, deadline=None)
-    def test_tracker_123_agrees_with_contains(self, w):
-        # while the prefix still avoids 123, completes(x) must predict
-        # containment after appending x
-        tr = make_tracker((1, 2, 3))
-        for i, x in enumerate(w):
-            if contains(tuple(w[:i]), (1, 2, 3)):
-                break
-            assert tr.completes(x) == contains(tuple(w[:i]) + (x,), (1, 2, 3))
-            tr.push(x)
-
-    @given(st.permutations(list(range(1, 8))))
-    @settings(max_examples=50, deadline=None)
-    def test_tracker_2143_prunes_exactly(self, w):
-        # a word is accepted by the incremental tracker iff it avoids 2143
-        tr = make_tracker((2, 1, 4, 3))
-        accepted = True
-        for x in w:
-            if tr.completes(x):
-                accepted = False
-                break
-            tr.push(x)
-        assert accepted == (not contains(tuple(w), (2, 1, 4, 3)))
-
-    def test_tracker_pop_restores_state(self):
-        tr = make_tracker((2, 1, 4, 3))
-        for x in (3, 1, 5):
-            tr.push(x)
-        assert tr.completes(2) is False
-        assert tr.completes(4) is True  # 3,1,5,4 contains 2143
-        tr.push(2)
-        tr.pop()
-        assert tr.completes(4) is True
-
 
 class TestCounting:
     @pytest.mark.parametrize("shape", SHAPES)
@@ -181,6 +146,51 @@ class TestAvoiderDP:
     def test_en_5x5_2143(self):
         # the published t = 5, s = 5 entry of the 2143 table
         assert count_avoiders(build("EN", 5, 5), [(2, 1, 4, 3)]) == 266110
+
+
+class TestListAvoiders:
+    """list_avoiders (walk of the DP's state graph) against avoiders
+    (plain backtracking), order included."""
+
+    @given(_posets, _patterns)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_enumeration(self, poset, patterns):
+        assert (list(list_avoiders(poset, patterns))
+                == list(avoiders(poset, patterns)))
+
+    def test_sweep(self):
+        # every family, every s, t <= 4 with s*t <= 9, every pattern of
+        # length 1-4: 3,432 cases
+        for family in FAMILIES:
+            for s in range(1, 5):
+                for t in range(1, min(4, 9 // s) + 1):
+                    poset = build(family, s, t)
+                    for m in range(1, 5):
+                        for sigma in permutations(range(1, m + 1)):
+                            got = list(list_avoiders(poset, [sigma]))
+                            assert got == list(avoiders(poset, [sigma])), \
+                                (family, s, t, sigma)
+                            assert count_avoiders(poset, [sigma]) == len(got)
+
+    def test_empty_pattern(self):
+        assert list(list_avoiders(build("EN", 2, 2), [()])) == []
+        assert list(list_avoiders(empty_poset(), [(1, 2), ()])) == []
+
+    def test_empty_poset(self):
+        assert list(list_avoiders(empty_poset(), [])) == [()]
+        assert list(list_avoiders(empty_poset(), [(1,)])) == [()]
+
+    def test_length_one_pattern(self):
+        assert list(list_avoiders(build("NE", 2, 3), [(1,)])) == []
+        assert list(list_avoiders(build("NE", 1, 1), [(1,), (2, 1)])) == []
+
+    def test_cycle_detected_eagerly(self):
+        with pytest.raises(ValueError, match="cycle"):
+            list_avoiders(cyclic_poset(), [(1, 2, 3)])
+
+    def test_bad_pattern(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            list_avoiders(build("EN", 2, 2), [(1, 3)])
 
 
 class TestFamilySymmetry:

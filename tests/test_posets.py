@@ -8,27 +8,26 @@ class TestLabels:
     def test_en_labels(self):
         # EN 2x3: tooth i, spine j carries label i*t - j + 1
         p = build("EN", 2, 3)
-        assert p.label_of(1, 3) == 1
-        assert p.label_of(1, 1) == 3
-        assert p.label_of(2, 3) == 4
-        assert p.label_of(2, 1) == 6
+        assert p.coords[1 - 1] == (1, 3)
+        assert p.coords[3 - 1] == (1, 1)
+        assert p.coords[4 - 1] == (2, 3)
+        assert p.coords[6 - 1] == (2, 1)
 
     def test_ne_labels(self):
         p = build("NE", 2, 3)
-        assert p.label_of(1, 1) == 1
-        assert p.label_of(1, 3) == 3
-        assert p.label_of(2, 1) == 4
+        assert p.coords[1 - 1] == (1, 1)
+        assert p.coords[3 - 1] == (1, 3)
+        assert p.coords[4 - 1] == (2, 1)
 
     def test_tooth_and_spine(self):
         p = build("EN", 4, 3)
-        assert p.tooth_of(7) == 3
-        assert p.spine_of(7) == 3
-        assert p.tooth_of(1) == 1
+        assert p.coords[7 - 1] == (3, 3)
+        assert p.coords[1 - 1][0] == 1
 
     def test_out_of_range(self):
         p = build("EN", 2, 2)
         with pytest.raises(ValueError):
-            p.tooth_of(5)
+            p.must_precede(5, 1)
 
 
 class TestOrder:
