@@ -8,7 +8,6 @@ cross-route disagreement.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -18,7 +17,7 @@ from typing import NoReturn, Optional, Sequence
 from . import formulas, paths, qstats, transfer, verify
 from .engine import count_avoiders, count_extensions, list_avoiders
 from .perms import descents, format_perm, parse_perm
-from .polys import format_q, format_x, to_json_dict
+from .polys import format_q, format_x, to_csv, to_json_dict
 from .posets import (FAMILIES, GridPoset, build, canonicalize,
                      parse_poset_spec)
 
@@ -151,9 +150,7 @@ def cmd_qpoly(args: argparse.Namespace) -> tuple[int, str]:
                         "patterns": [format_perm(p) for p in patterns]})
         return 0, json.dumps(payload, sort_keys=True)
     if args.format == "csv":
-        lines = ["power,coefficient"]
-        lines += [f"{k},{c}" for k, c in enumerate(gf) if c]
-        return 0, "\n".join(lines)
+        return 0, to_csv(gf)
     return 0, format_q(gf)
 
 
@@ -212,6 +209,8 @@ def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
         payload = to_json_dict(cp)
         payload["t"] = args.t
         return 0, json.dumps(payload, sort_keys=True)
+    if args.format == "csv":
+        return 0, to_csv(cp)
     return 0, format_x(cp)
 
 
@@ -239,8 +238,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
+# hashlib is imported only on the cache path: loading OpenSSL would cost
+# every other command several milliseconds of start-up.
+
 def _source_digest() -> str:
     """sha256 of the package's own .py sources, in file-name order."""
+    import hashlib
     h = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -253,6 +256,7 @@ def _cache_key(args: argparse.Namespace) -> str:
     given do not matter, and an answer is not reused once the code that
     produced it changes.  --avoid keeps its order and repeats, since json
     output echoes them."""
+    import hashlib
     fields = {k: v for k, v in vars(args).items()
               if k not in ("cache_dir", "func", "cacheable")}
     fields["source"] = _source_digest()
@@ -373,11 +377,25 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--fast", action="store_true",
                    help="smaller size limits for a quicker pass")
-    p.add_argument("--format", choices=("plain", "json", "csv"),
-                   default="plain")
+    # no csv: the free-text details contain commas
+    p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=cmd_verify, cacheable=False)
 
     return parser
+
+
+def _emit(text: str) -> bool:
+    """Print text to stdout; False if the reader has closed the pipe.  Then
+    stdout is pointed at os.devnull, so that the interpreter's final flush
+    does not fail again and print a traceback."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -393,19 +411,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if entry is not None:
         stored = _read_entry(entry)
         if stored is not None:
-            print(stored["output"])
-            return stored["code"]
+            return stored["code"] if _emit(stored["output"]) else 1
 
     try:
         code, output = args.func(args)
     except Disagreement as e:
-        print(f"route disagreement: {e}")
-        return 2
+        return 2 if _emit(f"route disagreement: {e}") else 1
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    print(output)
+    if not _emit(output):
+        return 1
     if entry is not None and code == 0:
         try:
             _write_entry(entry, {"code": code, "output": output})

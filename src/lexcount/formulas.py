@@ -9,9 +9,8 @@ free.  Absence of a formula is an empty result, never an error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .perms import Perm, rc_closure_key
 from .posets import CanonicalProblem
@@ -84,8 +83,7 @@ def inv_bounds_1243(s: int, t: int) -> tuple[int, int]:
     return ((t * t - t + 1) * pairs, t * t * pairs)
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     value: int
     provenance: str
 

@@ -22,9 +22,8 @@ CLI spec strings look like "EN:4x3", optionally suffixed "+saw" or "+zip".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Perm, reverse as perm_reverse
 
@@ -37,7 +36,6 @@ _DUAL = {"WS", "ES", "SW", "SE"}
 _NE_BASED = {"NE", "NW", "SW", "SE"}
 
 
-@dataclass(frozen=True)
 class GridPoset:
     """A labeled grid order, possibly with extra precedence constraints.
 
@@ -45,7 +43,14 @@ class GridPoset:
     the internal grid of ``grid_s`` teeth and ``grid_t`` spines.
     ``extra_before`` holds pairs (a, b): a must precede b beyond the grid
     order.  ``dualized`` means the grid order is reversed.
+
+    An immutable value compared and hashed by its fields.  It is a plain
+    class, not a dataclass, because ``dataclasses`` (with the ``inspect``
+    it imports) would add about a third to every CLI start-up.
     """
+
+    _FIELDS = ("family", "s", "t", "grid_s", "grid_t", "coords",
+               "extra_before", "dualized", "tag")
 
     family: str
     s: int
@@ -53,9 +58,38 @@ class GridPoset:
     grid_s: int
     grid_t: int
     coords: tuple[tuple[int, int], ...]
-    extra_before: frozenset[tuple[int, int]] = frozenset()
-    dualized: bool = False
-    tag: str = ""
+    extra_before: frozenset[tuple[int, int]]
+    dualized: bool
+    tag: str
+
+    def __init__(self, *, family: str, s: int, t: int, grid_s: int,
+                 grid_t: int, coords: tuple[tuple[int, int], ...],
+                 extra_before: frozenset[tuple[int, int]] = frozenset(),
+                 dualized: bool = False, tag: str = "") -> None:
+        # cached_property fills __dict__ directly, past __setattr__
+        self.__dict__.update(family=family, s=s, t=t, grid_s=grid_s,
+                             grid_t=grid_t, coords=coords,
+                             extra_before=extra_before, dualized=dualized,
+                             tag=tag)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GridPoset is immutable; cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}"
+                           for f, v in zip(self._FIELDS, self._key()))
+        return f"GridPoset({fields})"
 
     @property
     def n(self) -> int:
@@ -188,8 +222,7 @@ def empty_poset() -> GridPoset:
     return GridPoset(family="EN", s=0, t=1, grid_s=0, grid_t=1, coords=())
 
 
-@dataclass(frozen=True)
-class CanonicalProblem:
+class CanonicalProblem(NamedTuple):
     family: str  # "EN" or "NE"
     s: int
     t: int

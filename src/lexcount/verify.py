@@ -9,9 +9,8 @@ The CLI's `verify` subcommand and the test suite both run these.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import formulas, gentree, paths, qstats, transfer
 from .engine import count_avoiders, count_extensions
@@ -20,8 +19,7 @@ from .polys import degree, format_q, is_unimodal, poly
 from .posets import build, canonicalize, saw_poset, zip_poset
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" / "fail" / "consistent" / "counterexample"
     detail: str = ""

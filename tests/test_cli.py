@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +12,17 @@ from hypothesis import given, settings, strategies as st
 from lexcount import cli
 from lexcount.cli import main
 from lexcount.posets import FAMILIES
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports lexcount from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          **kwargs)
 
 
 @pytest.fixture
@@ -270,6 +285,12 @@ class TestCharpoly:
         code, out, _ = run("charpoly", "--t", "3", "--format", "json")
         assert json.loads(out) == {"coeffs": [1, -4, -1], "t": 3}
 
+    def test_csv(self, run):
+        code, out, _ = run("charpoly", "--t", "3", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["power,coefficient", "0,1", "1,-4",
+                                    "2,-1"]
+
 
 class TestVerify:
     def test_theorems_fast(self, run):
@@ -289,6 +310,14 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["suite"] == "theorems"
         assert all(c["status"] == "pass" for c in payload["checks"])
+
+    def test_csv_is_a_usage_error(self, run):
+        code, out, err = run("verify", "--suite", "theorems", "--fast",
+                             "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "invalid choice: 'csv'" in err
 
 
 class TestCache:
@@ -367,6 +396,54 @@ class TestCache:
     def test_uncacheable_commands_skip_cache(self, run, tmp_path):
         run("--cache-dir", str(tmp_path), "charpoly", "--t", "3")
         assert not list(tmp_path.iterdir())
+
+
+class TestProcess:
+    """Behaviour seen only from a fresh interpreter."""
+
+    def modules_after(self, code: str) -> set[str]:
+        r = fresh("-c", f"{code}; import sys; print(*sys.modules)")
+        assert r.returncode == 0, r.stderr
+        return set(r.stdout.split())
+
+    def test_import_loads_no_heavy_modules(self):
+        # compared with a bare interpreter, so that whatever the host's
+        # site set-up loads does not count
+        added = (self.modules_after("import lexcount.cli")
+                 - self.modules_after("pass"))
+        assert "lexcount.cli" in added
+        assert not added & {"dataclasses", "inspect", "hashlib"}
+
+    def test_cache_in_a_fresh_process(self, tmp_path):
+        argv = ("-m", "lexcount", "--cache-dir", str(tmp_path), "count",
+                "--poset", "EN:4x3", "--avoid", "1243")
+        first = fresh(*argv)
+        assert (first.returncode, first.stdout) == (0, "55\nroute: Cor4.6\n")
+        (entry,) = tmp_path.iterdir()
+        entry.write_text(json.dumps({"code": 0, "output": "served"}))
+        second = fresh(*argv)
+        assert (second.returncode, second.stdout) == (0, "served\n")
+
+    def test_python_dash_m(self):
+        r = fresh("-m", "lexcount", "count", "--poset", "EN:2x2")
+        assert (r.returncode, r.stdout, r.stderr) == (
+            0, "2\nroute: Prop2.2\n", "")
+
+    def test_closed_pipe_is_not_a_traceback(self):
+        # 72,152 lines, far more than a pipe buffer holds
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        with subprocess.Popen(
+                [sys.executable, "-m", "lexcount", "list", "--poset",
+                 "NE:4x5", "--avoid", "123"], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first.count(",") == 19
+        assert "Traceback" not in err
+        assert code == 1
 
 
 class TestUsage:

@@ -1,7 +1,10 @@
 import pytest
 
-from lexcount.posets import (FAMILIES, build, canonicalize, empty_poset,
-                             parse_poset_spec, saw_poset, zip_poset)
+from lexcount.formulas import FormulaResult
+from lexcount.posets import (FAMILIES, CanonicalProblem, GridPoset, build,
+                             canonicalize, empty_poset, parse_poset_spec,
+                             saw_poset, zip_poset)
+from lexcount.verify import CheckResult
 
 
 class TestLabels:
@@ -133,3 +136,56 @@ class TestSpecParsing:
     def test_bad_specs(self, text):
         with pytest.raises(ValueError):
             parse_poset_spec(text)
+
+
+class TestRecords:
+    """The value semantics the CLI and the engines rely on."""
+
+    def test_equal_posets_hash_equal(self):
+        a, b = build("EN", 3, 4), build("EN", 3, 4)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_unequal_posets(self):
+        en = build("EN", 3, 4)
+        assert en != saw_poset(3, 4)
+        assert en != build("WS", 3, 4)
+        fields = dict(family="EN", s=3, t=4, grid_s=3, grid_t=4,
+                      coords=en.coords)
+        assert GridPoset(**fields) == en
+        assert GridPoset(**fields, dualized=True) != en
+        assert en != (en.family, en.s, en.t)
+
+    def test_cached_properties_are_computed_once(self):
+        p = build("EN", 3, 4)
+        assert p.direct_preds is p.direct_preds
+        assert p.succs is p.succs
+        p.must_precede(1, 2)
+        assert p._closure is p._closure
+        assert p == build("EN", 3, 4)  # caches do not enter equality
+        assert hash(p) == hash(build("EN", 3, 4))
+
+    def test_immutable(self):
+        p = build("EN", 2, 2)
+        with pytest.raises(AttributeError):
+            p.s = 3
+
+    def test_repr_names_the_class(self):
+        text = repr(saw_poset(2, 2))
+        assert text.startswith("GridPoset(")
+        assert "family='EN'" in text and "tag='saw'" in text
+
+    def test_small_records_keep_their_fields(self):
+        assert CanonicalProblem._fields == ("family", "s", "t", "patterns")
+        assert CanonicalProblem("EN", 2, 3).patterns == frozenset()
+        assert FormulaResult._fields == ("value", "provenance")
+        assert CheckResult._fields == ("name", "status", "detail")
+        assert CheckResult("x", "pass").detail == ""
+
+    @pytest.mark.parametrize("status, ok", [
+        ("pass", True), ("consistent", True), ("fail", False),
+        ("counterexample", False)])
+    def test_check_result_ok(self, status, ok):
+        assert CheckResult("name", status, "detail").ok is ok
