@@ -66,7 +66,7 @@ class GridPoset:
                  grid_t: int, coords: tuple[tuple[int, int], ...],
                  extra_before: frozenset[tuple[int, int]] = frozenset(),
                  dualized: bool = False, tag: str = "") -> None:
-        # cached_property fills __dict__ directly, past __setattr__
+        # straight into __dict__, as cached_property does: __setattr__ refuses
         self.__dict__.update(family=family, s=s, t=t, grid_s=grid_s,
                              grid_t=grid_t, coords=coords,
                              extra_before=extra_before, dualized=dualized,
