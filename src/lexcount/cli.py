@@ -34,9 +34,10 @@ class Disagreement(Exception):
 
 def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
            only: Optional[str]) -> tuple[Optional[str], Optional[int]]:
-    """Run every affordable counting route (or only the one named), check
-    that they agree, and return the first of formula, transfer, ideal-dp,
-    oracle with its value; (None, None) if no route is affordable."""
+    """Run every affordable counting route (or only the one named; the
+    oracle only if ideal-dp did not run), check that they agree, and
+    return the first of formula, transfer, ideal-dp, oracle with its
+    value; (None, None) if no route is affordable."""
     routes: dict[str, int] = {}
     want = lambda name: only is None or only == name
 
@@ -51,11 +52,9 @@ def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
                 and prob.patterns == {(2, 1, 4, 3)}):
             routes["transfer"] = transfer.count_2143(prob.s, prob.t)
     if want("ideal-dp") and not patterns:
-        try:
-            routes["ideal-dp"] = count_extensions(poset)
-        except ValueError:
-            pass
-    if want("oracle"):
+        routes["ideal-dp"] = count_extensions(poset)
+    # without patterns the oracle would run the same DP a second time
+    if want("oracle") and "ideal-dp" not in routes:
         if poset.n <= ORACLE_GUARD or force:
             routes["oracle"] = count_avoiders(poset, patterns)
         elif only == "oracle":

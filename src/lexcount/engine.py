@@ -1,16 +1,18 @@
 """
 Enumerate and count (pattern-avoiding) linear extensions.
 
-`count_avoiders`, `stat_gf` and `list_avoiders` share one forward DP over
-prefix length.  A prefix matters to its completions only through the
-order ideal it fills and its partial pattern matches, each matched value
-replaced by its rank among the values not yet placed; prefixes that agree
-on both are merged into one state.  `count_avoiders` keeps a count per
-state, `stat_gf` a q-polynomial, to sum q^inv or q^maj.  `list_avoiders`
-keeps each state's out-edges instead, drops the states from which no
-extension can be completed, and walks what is left in increasing label
-order, so it lists the avoiders lexicographically and never enters a dead
-branch.
+`count_avoiders`, `count_extensions`, `stat_gf` and `list_avoiders` share
+one forward DP over prefix length, the package's only order-ideal DP.  A
+prefix matters to its completions only through the order ideal it fills
+and its partial pattern matches, each matched value replaced by its rank
+among the values not yet placed; prefixes that agree on both are merged
+into one state.  `count_avoiders` keeps a count per state, `stat_gf` a
+q-polynomial, to sum q^inv or q^maj.  `list_avoiders` keeps each state's
+out-edges instead, drops the states from which no extension can be
+completed, and walks what is left in increasing label order, so it lists
+the avoiders lexicographically and never enters a dead branch.
+`count_extensions` is `count_avoiders` without patterns: its states are
+then the order ideals alone, and it has no element limit.
 
 `avoiders` is the independent reference the DP is tested against: a
 backtracking generator that tries the available elements in increasing
@@ -18,9 +20,6 @@ label order and prunes a branch as soon as the prefix contains a
 forbidden pattern.  Since a contained pattern can never be destroyed by
 appending, it tests only occurrences that end at the newly placed
 element.
-
-`count_extensions` counts pattern-free extensions by dynamic programming
-over order ideals alone.
 """
 from __future__ import annotations
 
@@ -129,6 +128,14 @@ def count_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> int:
     return _avoider_dp(poset, patterns, None, 0)
 
 
+def count_extensions(poset: GridPoset) -> int:
+    """Exact number of linear extensions: the avoider DP without patterns,
+    whose states are then the order ideals alone.  An s x t grid has at
+    most C(s+t, s) of them, and extra precedence pairs only remove some,
+    so there is no element limit.  Raises ValueError on a cycle."""
+    return _avoider_dp(poset, (), None, 0)
+
+
 def stat_gf(poset: GridPoset, patterns: Iterable[Sequence[int]],
             stat: str = "inv") -> QPoly:
     """Sum of q^stat over the pattern-avoiding extensions of poset, for
@@ -180,7 +187,8 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
         root = frozenset((i, ()) for i in range(len(pats)))
         layer[0, root] = [] if listing else 1
     n = poset.n
-    pred_masks = _pred_masks(poset)
+    pred_masks = [sum(1 << (a - 1) for a in preds)
+                  for preds in poset.direct_preds]
     # above[i][k][q]: must the value matched to sigma_i[k] exceed sigma_i[q]?
     above = [[tuple(sig[k] > sig[q] for q in range(k)) for k in range(len(sig))]
              for sig in pats]
@@ -247,84 +255,6 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     if listing:
         return layers + [list(layer.values())]
     return sum(layer.values())
-
-
-# ---------------------------------------------------------------------------
-# exact counting without listing
-
-_DOWNSET_CAP = 24
-
-
-def count_extensions(poset: GridPoset) -> int:
-    """Exact number of linear extensions, by order-ideal DP.
-
-    Pure grids use the monotone tooth-profile lattice (at most C(s+t, s)
-    states).  Posets with extra precedence pairs fall back to a bitmask
-    DP over explicit downsets, capped at n = 24 elements.
-    """
-    if poset.n == 0:
-        return 1
-    if not poset.extra_before:
-        return _grid_count(poset.grid_s, poset.grid_t)
-    if poset.n > _DOWNSET_CAP:
-        raise ValueError(
-            f"downset DP capped at {_DOWNSET_CAP} elements, got {poset.n}")
-    return _downset_count(poset)
-
-
-@lru_cache(maxsize=None)
-def _grid_count(gs: int, gt: int) -> int:
-    """Extensions of a pure gs x gt grid.  State: how many elements have
-    been taken from each tooth; a tooth may advance only while staying
-    strictly behind every later tooth."""
-
-    @lru_cache(maxsize=None)
-    def f(profile: tuple[int, ...]) -> int:
-        if all(c == gt for c in profile):
-            return 1
-        total = 0
-        for i in range(gs):
-            c = profile[i]
-            if c == gt:
-                continue
-            if all(profile[k] > c for k in range(i + 1, gs)):
-                total += f(profile[:i] + (c + 1,) + profile[i + 1:])
-        return total
-
-    result = f((0,) * gs)
-    f.cache_clear()
-    return result
-
-
-def _pred_masks(poset: GridPoset) -> list[int]:
-    """Bitmask of the direct predecessors of each element (bit x-1 for x)."""
-    return [sum(1 << (a - 1) for a in preds) for preds in poset.direct_preds]
-
-
-def _downset_count(poset: GridPoset) -> int:
-    n = poset.n
-    pred_masks = _pred_masks(poset)
-    full = (1 << n) - 1
-    memo: dict[int, int] = {full: 1}
-
-    def f(taken: int) -> int:
-        if taken in memo:
-            return memo[taken]
-        total = 0
-        for x in range(n):
-            bit = 1 << x
-            if taken & bit:
-                continue
-            if pred_masks[x] & ~taken:
-                continue
-            total += f(taken | bit)
-        memo[taken] = total
-        return total
-
-    result = f(0)
-    if result == 0:
-        raise ValueError("precedence constraints contain a cycle")
-    return result
 
 
 # ---------------------------------------------------------------------------

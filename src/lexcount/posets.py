@@ -241,8 +241,8 @@ def canonicalize(family: str, s: int, t: int,
         s, t = t, s
     if family in _DUAL:
         ps = frozenset(perm_reverse(p) for p in ps)
-    canon = "EN" if family in ("EN", "WN", "WS", "ES") else "NE"
-    return CanonicalProblem(family=canon, s=s, t=t, patterns=ps)
+    return CanonicalProblem(family="NE" if family in _NE_BASED else "EN",
+                            s=s, t=t, patterns=ps)
 
 
 _SPEC_RE = re.compile(r"^([A-Z]{2}):(\d+)x(\d+)(\+saw|\+zip)?$")

@@ -61,69 +61,22 @@ def count_2143(s: int, t: int) -> int:
 def char_poly(t: int) -> QPoly:
     """det(I - x * B_t) as an integer polynomial, constant term 1.
 
-    The determinant has degree at most t, so it is recovered exactly by
-    evaluating the integer determinant at t + 1 points and interpolating
-    over the rationals (every coefficient comes out integral)."""
+    By Faddeev-LeVerrier: with M_1 = I, c_k = -tr(B M_k) / k and
+    M_{k+1} = B M_k + c_k I, det(I - x B) = sum of c_k x^k, c_0 = 1.
+    The c_k are the coefficients of B's characteristic polynomial, so for
+    an integer matrix every division is exact."""
     bm = b_matrix(t)
-    points = list(range(t + 1))
-    values = [
-        _int_det([[(1 if j == k else 0) - x * bm[j][k] for k in range(t)]
-                  for j in range(t)])
-        for x in points
-    ]
-    coeffs = _interpolate(points, values)
-    assert coeffs and coeffs[0] == 1
-    return coeffs
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            swap = next((r for r in range(col + 1, n) if m[r][col]), None)
-            if swap is None:
-                return 0
-            m[col], m[swap] = m[swap], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                num = m[col][col] * m[r][c] - m[r][col] * m[col][c]
-                q, rem = divmod(num, prev)
-                assert rem == 0
-                m[r][c] = q
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
-
-
-def _interpolate(points: Sequence[int], values: Sequence[int]) -> QPoly:
-    """Lagrange interpolation with exact rational arithmetic; the result
-    must have integer coefficients."""
-    from fractions import Fraction
-    n = len(points)
-    acc = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            basis = [Fraction(0)] + basis  # multiply by x, then by -xj
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-        coeff = Fraction(yi) / denom
-        for k in range(len(basis)):
-            acc[k] += coeff * basis[k]
-    out = []
-    for c in acc:
-        assert c.denominator == 1
-        out.append(int(c))
-    return poly(out)
+    idx = range(t)
+    m = [[int(j == k) for k in idx] for j in idx]
+    coeffs = [1]
+    for k in range(1, t + 1):
+        bmk = [[sum(bm[j][i] * m[i][l] for i in idx) for l in idx]
+               for j in idx]
+        c, rem = divmod(-sum(bmk[j][j] for j in idx), k)
+        assert rem == 0
+        coeffs.append(c)
+        m = [[bmk[j][l] + c * (j == l) for l in idx] for j in idx]
+    return poly(coeffs)
 
 
 def recurrence_extend(initial_terms: Sequence[int], charpoly: Sequence[int],

@@ -128,7 +128,7 @@ def test_criterion_6_b_matrix_and_char_poly():
     # terms criterion 2 checks against the oracle, and whose s = 5 term
     # 266110 the oracle also gives on EN:5x5): from those four terms it
     # predicts 16*14041 + 3*728 - 235*42 + 36*1 = 217006 at s = 5.  The
-    # determinant det(I - x B_5) computed here (Bareiss elimination,
+    # determinant det(I - x B_5) computed here (Faddeev-LeVerrier,
     # cross-checked by cofactor expansion) is 1 - 16x - 57x^2 + x^3, and
     # its recurrence a_n = 16a_{n-1} + 57a_{n-2} - a_{n-3} reproduces the
     # whole column.  The published coefficients are kept below, and the

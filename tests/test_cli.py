@@ -73,6 +73,20 @@ class TestCount:
         assert code == 0
         assert out.splitlines()[0] == "55"
 
+    def test_augmented_poset_past_oracle_guard(self, run):
+        # 36 elements: beyond ORACLE_GUARD, answered by the DP alone
+        code, out, _ = run("count", "--poset", "EN:6x6+saw")
+        assert code == 0
+        assert out == "62832\nroute: ideal-dp"
+
+    def test_plain_count_runs_dp_once(self, run, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("oracle ran beside ideal-dp")
+        monkeypatch.setattr(cli, "count_avoiders", refuse)
+        code, out, _ = run("count", "--poset", "EN:4x3+saw")
+        assert code == 0
+        assert out == "55\nroute: ideal-dp"
+
     def test_size_guard(self, run):
         code, out, err = run("count", "--poset", "EN:6x6", "--avoid", "12345",
                              "--route", "oracle")

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from lexcount.engine import (avoiders, count_avoiders, count_extensions,
                              insert_213, is_extension, linear_extensions,
                              list_avoiders)
+from lexcount.formulas import fuss_catalan
 from lexcount.perms import contains
 from lexcount.qstats import stat_gf
 from lexcount.posets import (FAMILIES, GridPoset, build, empty_poset,
                              saw_poset, zip_poset)
+from lexcount.transfer import count_2143
 
 
 def brute_avoiders(poset, patterns):
@@ -93,12 +95,15 @@ class TestCounting:
         for p in (saw_poset(*shape), zip_poset(*shape)):
             assert count_extensions(p) == sum(1 for _ in linear_extensions(p))
 
-    def test_downset_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            count_extensions(saw_poset(5, 6))
+    def test_augmented_posets_have_no_size_cap(self):
+        # saw extensions are the 1243-avoiders, zip ones the 2143-avoiders
+        for s, t in ((5, 6), (6, 6), (10, 10)):
+            assert count_extensions(saw_poset(s, t)) == fuss_catalan(s, t)
+        for s, t in ((5, 5), (6, 6), (12, 12)):
+            assert count_extensions(zip_poset(s, t)) == count_2143(s, t)
 
     def test_large_grid_dp_is_fine(self):
-        # the profile DP does not materialize extensions
+        # the order-ideal DP does not materialize extensions
         assert count_extensions(build("EN", 6, 6)) > 10 ** 9
 
 
@@ -138,6 +143,8 @@ class TestAvoiderDP:
     def test_cycle_detected(self):
         with pytest.raises(ValueError, match="cycle"):
             count_avoiders(cyclic_poset(), [(1, 2, 3)])
+        with pytest.raises(ValueError, match="cycle"):
+            count_extensions(cyclic_poset())
 
     def test_bad_pattern(self):
         with pytest.raises(ValueError, match="not a permutation"):

@@ -82,7 +82,7 @@ class TestCharPoly:
     def test_t5(self):
         assert char_poly(5) == (1, -16, -57, 1)
 
-    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, 8])
     def test_recurrence_reproduces_counts(self, t):
         cp = char_poly(t)
         d = len(cp) - 1
