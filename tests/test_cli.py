@@ -333,6 +333,15 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert "invalid choice: 'csv'" in err
 
+    @pytest.mark.parametrize("suite, want_code", [("theorems", 0),
+                                                  ("conjectures", 2)])
+    def test_fast_report_is_golden(self, run, suite, want_code):
+        """The whole plain report, instance counts and failure details
+        included, so that a change to any check's loop shows here."""
+        code, out, _ = run("verify", "--suite", suite, "--fast")
+        golden = Path(__file__).parent / "golden" / f"verify_{suite}_fast.txt"
+        assert (code, out) == (want_code, golden.read_text().rstrip("\n"))
+
 
 class TestCache:
     def test_cache_hit_is_byte_identical(self, run, tmp_path):
