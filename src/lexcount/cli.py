@@ -19,7 +19,7 @@ from .engine import count_avoiders, count_extensions, list_avoiders
 from .perms import descents, format_perm, parse_perm
 from .polys import format_q, format_x, to_csv, to_json_dict
 from .posets import (FAMILIES, GridPoset, build, canonicalize,
-                     parse_poset_spec)
+                     parse_poset_spec, saw_poset, zip_poset)
 
 ORACLE_GUARD = 25
 
@@ -162,6 +162,14 @@ def _path_descents(word: str) -> list[int]:
 def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
     poset = parse_poset_spec(args.poset)
     s, t = poset.s, poset.t
+    # each kind encodes the extensions of one poset
+    if args.kind == "tableau":
+        want = build("EN", s, t)
+    else:
+        want = (saw_poset if args.kind == "fcpath" else zip_poset)(s, t)
+    if poset != want:
+        raise CliError(f"--kind {args.kind} needs the poset "
+                       f"{want.spec_string()}, not {poset.spec_string()}")
     if (args.perm is None) == (args.word is None):
         raise CliError("exactly one of --perm and --word is required")
     payload: dict = {"kind": args.kind, "poset": poset.spec_string()}
@@ -317,14 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
                              "(or set LEXCOUNT_CACHE_DIR)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, poset: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, poset: bool = True,
+               csv: bool = True, force: bool = True) -> None:
         if poset:
             p.add_argument("--poset", required=True,
                            help="poset spec, e.g. EN:4x3 or EN:4x3+saw")
-        p.add_argument("--format", choices=("plain", "json", "csv"),
-                       default="plain")
-        p.add_argument("--force", action="store_true",
-                       help="lift the size guard on enumeration routes")
+        p.add_argument("--format", default="plain", choices=(
+            ("plain", "json", "csv") if csv else ("plain", "json")))
+        if force:
+            p.add_argument("--force", action="store_true",
+                           help=f"lift the {ORACLE_GUARD}-element limit on "
+                                "the oracle route, list and qpoly")
 
     p = sub.add_parser("count", help="count avoiding extensions")
     common(p)
@@ -335,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count, cacheable=True)
 
     p = sub.add_parser("list", help="list avoiding extensions")
-    common(p)
+    common(p, csv=False)
     p.add_argument("--avoid", action="append", default=[])
     p.set_defaults(func=cmd_list, cacheable=False)
 
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qpoly, cacheable=True)
 
     p = sub.add_parser("bijection", help="apply a bijection or its inverse")
-    common(p)
+    common(p, csv=False, force=False)
     p.add_argument("--kind", choices=("tableau", "fcpath", "zipper"),
                    required=True)
     p.add_argument("--perm", default=None, help="extension to encode")
@@ -367,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charpoly", help="characteristic polynomial of the "
                                         "transfer matrix")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--format", choices=("plain", "json", "csv"),
-                   default="plain")
+    common(p, poset=False, force=False)
     p.set_defaults(func=cmd_charpoly, cacheable=False)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -377,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", action="store_true",
                    help="smaller size limits for a quicker pass")
     # no csv: the free-text details contain commas
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
+    common(p, poset=False, csv=False, force=False)
     p.set_defaults(func=cmd_verify, cacheable=False)
 
     return parser

@@ -26,6 +26,21 @@ Tableau = tuple[tuple[int, ...], ...]
 ZipperWord = tuple[int, ...]
 
 
+def _ballot(word: Sequence, up, down, k: int = 1, lead: int = 0) -> bool:
+    """True iff every prefix of word has lead + #up >= k * #down; other
+    letters are skipped.  Every lattice-word family below is defined by
+    one or two such inequalities."""
+    bal = lead
+    for x in word:
+        if x == up:
+            bal += 1
+        elif x == down:
+            bal -= k
+            if bal < 0:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Fuss-Catalan paths
 
@@ -34,15 +49,8 @@ def is_fuss_catalan(w: str, t: int) -> bool:
     with every prefix holding at least t-1 times as many Ns as Es."""
     if t < 1 or any(ch not in "NE" for ch in w):
         return False
-    ns = es = 0
-    for ch in w:
-        if ch == "N":
-            ns += 1
-        else:
-            es += 1
-            if ns < (t - 1) * es:
-                return False
-    return ns == (t - 1) * es
+    return (_ballot(w, "N", "E", t - 1)
+            and w.count("N") == (t - 1) * w.count("E"))
 
 
 def fc_paths(s: int, t: int) -> Iterator[str]:
@@ -171,15 +179,8 @@ def is_zipper(w: Sequence[int], s: int, t: int) -> bool:
         return False
     if any(word.count(j) != t for j in range(1, s + 1)):
         return False
-    for j in range(1, s):
-        bal = 0
-        for x in word:
-            if x == j:
-                bal += 1
-            elif x == j + 1:
-                bal -= 1
-                if bal < 0:
-                    return False
+    if not all(_ballot(word, j, j + 1) for j in range(1, s)):
+        return False
     for j in range(1, s - 1):
         last_j = max(p for p, x in enumerate(word) if x == j)
         first_j2 = min(p for p, x in enumerate(word) if x == j + 2)
@@ -210,20 +211,8 @@ def zippers(s: int, t: int) -> Iterator[ZipperWord]:
                 prev = p
             merged.extend(word[prev:])
             # Catalan projection against the previous letter
-            if j >= 2:
-                bal = 0
-                ok = True
-                for x in merged:
-                    if x == j - 1:
-                        bal += 1
-                    elif x == j:
-                        bal -= 1
-                        if bal < 0:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-            yield from rec(tuple(merged), j + 1)
+            if j < 2 or _ballot(merged, j - 1, j):
+                yield from rec(tuple(merged), j + 1)
 
     if s < 1 or t < 1:
         return iter(())
@@ -279,14 +268,7 @@ def is_jk_catalan(w: str, n: int, j: int, k: int) -> bool:
         return False
     tail_ok = (len(w) >= k + 1 and w[-(k + 1):] == "N" + "E" * k) or \
               (k == n and w == "E" * n)
-    if not tail_ok:
-        return False
-    bal = n - j
-    for ch in w:
-        bal += 1 if ch == "N" else -1
-        if bal < 0:
-            return False
-    return True
+    return tail_ok and _ballot(w, "N", "E", lead=n - j)
 
 
 def jk_paths(n: int, j: int, k: int) -> Iterator[str]:
@@ -319,17 +301,7 @@ def is_12354_path(w: Sequence[str], s: int, t: int) -> bool:
         return False
     if word.count("N1") != s or word.count("N2") != s:
         return False
-    n1 = n2 = es = 0
-    for x in word:
-        if x == "N1":
-            n1 += 1
-        elif x == "N2":
-            n2 += 1
-        else:
-            es += 1
-        if n1 < n2 or es < (t - 2) * n1:
-            return False
-    return True
+    return _ballot(word, "N1", "N2") and _ballot(word, "E", "N1", t - 2)
 
 
 def paths_12354(s: int, t: int) -> Iterator[tuple[str, ...]]:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import formulas, gentree, paths, qstats, transfer
 from .engine import count_avoiders, count_extensions
 from .perms import reverse_complement
-from .polys import degree, format_q, is_unimodal, poly
+from .polys import QPoly, degree, format_q, is_unimodal, poly
 from .posets import build, canonicalize, saw_poset, zip_poset
 
 
@@ -38,6 +38,20 @@ def _check(name: str, failures: list[str], instances: int,
     return CheckResult(name, status, f"{instances} instances")
 
 
+def _compare(name: str, rows: Iterable[tuple[str, object, object]],
+             conjecture: bool = False) -> CheckResult:
+    """Each (label, got, want) row is one instance; a row with
+    got != want fails under its label."""
+    rows = list(rows)
+    failures = [label for label, got, want in rows if got != want]
+    return _check(name, failures, len(rows), conjecture)
+
+
+def _span(gf: QPoly) -> tuple[int, int]:
+    """Lowest and highest power of q in a nonzero polynomial."""
+    return next(k for k, c in enumerate(gf) if c), degree(gf)
+
+
 # ---------------------------------------------------------------------------
 # theorem suite
 
@@ -55,82 +69,55 @@ def check_formulas_vs_oracle(max_n: int = 12) -> CheckResult:
     cases += [("NE", p) for p in ({(2, 1, 3)}, {(2, 1, 3), (1, 2, 3)},
                                   {(2, 1, 3), (1, 3, 2)}, {(3, 1, 2)},
                                   {(1, 2, 3)})]
-    failures, n_inst = [], 0
+    rows = []
     for family, pats in cases:
         for s, t in _shapes(max_n):
             res = formulas.count_formula(canonicalize(family, s, t, pats))
-            if res is None:
-                continue
-            oracle = count_avoiders(build(family, s, t), pats)
-            n_inst += 1
-            if res.value != oracle:
-                failures.append(
-                    f"{family}:{s}x{t} avoid {sorted(pats)}: "
-                    f"formula {res.value} ({res.provenance}) != oracle {oracle}")
-    return _check("closed forms vs brute force", failures, n_inst)
+            if res is not None:
+                oracle = count_avoiders(build(family, s, t), pats)
+                rows.append((f"{family}:{s}x{t} avoid {sorted(pats)}: "
+                             f"formula {res.value} ({res.provenance}) "
+                             f"!= oracle {oracle}", res.value, oracle))
+    return _compare("closed forms vs brute force", rows)
 
 
 def check_hook_count(max_n: int = 16) -> CheckResult:
-    failures, n_inst = [], 0
-    for s, t in _shapes(max_n):
-        n_inst += 1
-        if formulas.hook_count(s, t) != count_extensions(build("EN", s, t)):
-            failures.append(f"{s}x{t}")
-    for n in range(1, 11):
-        n_inst += 1
-        if formulas.hook_count(2, n) != formulas.catalan(n):
-            failures.append(f"2x{n} vs catalan")
-    return _check("hook-product count vs order-ideal DP", failures, n_inst)
+    rows = [(f"{s}x{t}", formulas.hook_count(s, t),
+             count_extensions(build("EN", s, t))) for s, t in _shapes(max_n)]
+    rows += [(f"2x{n} vs catalan", formulas.hook_count(2, n),
+              formulas.catalan(n)) for n in range(1, 11)]
+    return _compare("hook-product count vs order-ideal DP", rows)
 
 
 def check_rc_closure(max_n: int = 9) -> CheckResult:
     """Counts are invariant under reverse-complementing the pattern."""
     from itertools import permutations
-    failures, n_inst = [], 0
-    pats = [tuple(p) for p in permutations(range(1, 5))]
-    for family in ("EN", "NE"):
-        for sigma in pats:
-            for s in range(1, 4):
-                for t in range(1, 4):
-                    if s * t > max_n:
-                        continue
-                    n_inst += 1
-                    a = count_avoiders(build(family, s, t), [sigma])
-                    b = count_avoiders(build(family, s, t),
-                                       [reverse_complement(sigma)])
-                    if a != b:
-                        failures.append(f"{family}:{s}x{t} {sigma}")
-    return _check("reverse-complement count invariance", failures, n_inst)
+    return _compare("reverse-complement count invariance", (
+        (f"{family}:{s}x{t} {sigma}",
+         count_avoiders(build(family, s, t), [sigma]),
+         count_avoiders(build(family, s, t), [reverse_complement(sigma)]))
+        for family in ("EN", "NE") for sigma in permutations(range(1, 5))
+        for s in range(1, 4) for t in range(1, 4) if s * t <= max_n))
 
 
 def check_gentree(max_n: int = 14) -> CheckResult:
-    failures, n_inst = [], 0
-    for t in range(1, 7):
-        for s in range(0, 11):
-            n_inst += 1
-            if gentree.count_at_depth(t, s) != formulas.fuss_catalan(s, t):
-                failures.append(f"depth DP ({s},{t})")
-    for s, t in _shapes(max_n):
-        n_inst += 1
-        if gentree.count_at_depth(t, s) != count_avoiders(
-                build("EN", s, t), [(1, 2, 4, 3)]):
-            failures.append(f"DP vs 1243 oracle ({s},{t})")
-    return _check("generating-tree DP vs formula and oracle", failures, n_inst)
+    rows = [(f"depth DP ({s},{t})", gentree.count_at_depth(t, s),
+             formulas.fuss_catalan(s, t))
+            for t in range(1, 7) for s in range(0, 11)]
+    rows += [(f"DP vs 1243 oracle ({s},{t})", gentree.count_at_depth(t, s),
+              count_avoiders(build("EN", s, t), [(1, 2, 4, 3)]))
+             for s, t in _shapes(max_n)]
+    return _compare("generating-tree DP vs formula and oracle", rows)
 
 
 def check_saw_zip_posets(max_n: int = 12) -> CheckResult:
     """The two augmented posets carve out exactly the avoider sets."""
-    failures, n_inst = [], 0
-    for s, t in _shapes(max_n):
-        n_inst += 1
-        if count_extensions(saw_poset(s, t)) != count_avoiders(
-                build("EN", s, t), [(1, 2, 4, 3)]):
-            failures.append(f"saw {s}x{t}")
-        n_inst += 1
-        if count_extensions(zip_poset(s, t)) != count_avoiders(
-                build("EN", s, t), [(2, 1, 4, 3)]):
-            failures.append(f"zip {s}x{t}")
-    return _check("sawblade/zipper posets vs avoider sets", failures, n_inst)
+    return _compare("sawblade/zipper posets vs avoider sets", (
+        row for s, t in _shapes(max_n) for row in (
+            (f"saw {s}x{t}", count_extensions(saw_poset(s, t)),
+             count_avoiders(build("EN", s, t), [(1, 2, 4, 3)])),
+            (f"zip {s}x{t}", count_extensions(zip_poset(s, t)),
+             count_avoiders(build("EN", s, t), [(2, 1, 4, 3)])))))
 
 
 def check_b_matrix(max_n: int = 8, oracle_n: int = 6) -> CheckResult:
@@ -161,39 +148,33 @@ def check_b_matrix(max_n: int = 8, oracle_n: int = 6) -> CheckResult:
 
 
 def check_count_2143(max_oracle: int = 16) -> CheckResult:
-    failures, n_inst = [], 0
+    rows = []
     for s, t in _shapes(max_oracle):
         oracle = count_avoiders(build("EN", s, t), [(2, 1, 4, 3)])
         tm = transfer.count_2143(s, t)
         zc = sum(1 for _ in paths.zippers(s, t)) if t >= 2 else 1
-        n_inst += 1
-        if not oracle == tm == zc:
-            failures.append(f"({s},{t}): oracle {oracle}, matrix {tm}, zippers {zc}")
-    for t in range(1, 5):
-        for s in range(1, 13):
-            n_inst += 1
-            if transfer.count_2143(s, t) != formulas.count_2143_closed(s, t):
-                failures.append(f"closed form ({s},{t})")
-    return _check("2143 counts: oracle, matrix, zippers, closed forms",
-                  failures, n_inst)
+        rows.append((f"({s},{t}): oracle {oracle}, matrix {tm}, zippers {zc}",
+                     (tm, zc), (oracle, oracle)))
+    rows += [(f"closed form ({s},{t})", transfer.count_2143(s, t),
+              formulas.count_2143_closed(s, t))
+             for t in range(1, 5) for s in range(1, 13)]
+    return _compare("2143 counts: oracle, matrix, zippers, closed forms", rows)
 
 
 def check_char_poly() -> CheckResult:
-    failures = []
     expected = {2: (1, -2), 3: (1, -4, -1), 4: (1, -8, -9),
                 5: (1, -16, -57, 1)}
+    rows = []
     for t, cp in expected.items():
         got = transfer.char_poly(t)
-        if got != poly(cp):
-            failures.append(f"t={t}: got {got}")
+        rows.append((f"t={t}: got {got}", got, poly(cp)))
     # each printed-table column satisfies its recurrence
     for t in range(2, 6):
         seed = [transfer.count_2143(s, t) for s in range(1, t + 1)]
         ext = transfer.recurrence_extend(seed, transfer.char_poly(t), 5)
         want = tuple(transfer.count_2143(s, t) for s in range(1, len(ext) + 1))
-        if ext != want:
-            failures.append(f"recurrence t={t}")
-    return _check("characteristic polynomials and recurrences", failures, 8)
+        rows.append((f"recurrence t={t}", ext, want))
+    return _compare("characteristic polynomials and recurrences", rows)
 
 
 def check_bijections(max_n: int = 12) -> CheckResult:
@@ -231,112 +212,96 @@ def check_bijections(max_n: int = 12) -> CheckResult:
     return _check("bijection roundtrips and images", failures, n_inst)
 
 
-def _two_line(stat: str, rhs, max_size: int) -> tuple[list[str], int]:
-    """Failures and instance count of the `stat` polynomial against
-    rhs(case, n) on the two-line cases (i)-(iv) of Thm 6.1, for n up to
-    max_size."""
+def _two_line(stat: str, rhs, max_size: int):
+    """Rows comparing the `stat` polynomial with rhs(case, n) on the
+    two-line cases (i)-(iv) of Thm 6.1, for n up to max_size."""
     setups = {
         "i": lambda n: (build("EN", 2, n), (3, 2, 1)),
         "ii": lambda n: (build("EN", n, 2), (1, 2, 3)),
         "iii": lambda n: (build("NE", n, 2), (1, 2, 3)),
         "iv": lambda n: (build("NE", 2, n), (1, 2, 3)),
     }
-    failures = []
     for case, setup in setups.items():
         for n in range(1, max_size + 1):
             poset, sigma = setup(n)
             got = qstats.stat_gf(poset, [sigma], stat)
-            if got != rhs(case, n):
-                failures.append(f"({case}) n={n}: {format_q(got)}")
-    return failures, len(setups) * max_size
+            yield f"({case}) n={n}: {format_q(got)}", got, rhs(case, n)
 
 
 def check_thm61(max_size: int = 7) -> CheckResult:
-    failures, n_inst = _two_line("inv", qstats.thm61_rhs, max_size)
-    return _check("two-line inversion polynomials", failures, n_inst)
+    return _compare("two-line inversion polynomials",
+                    _two_line("inv", qstats.thm61_rhs, max_size))
 
 
 def check_thm62(max_n: int = 14) -> CheckResult:
-    failures, n_inst = [], 0
-    for s, t in _shapes(max_n):
-        n_inst += 1
-        got = qstats.stat_gf(build("NE", s, t), [(2, 1, 3)], "inv")
-        if got != qstats.thm62_rhs(s, t):
-            failures.append(f"({s},{t})")
-    return _check("213-avoiding NE inversion polynomial", failures, n_inst)
+    return _compare("213-avoiding NE inversion polynomial", (
+        (f"({s},{t})", qstats.stat_gf(build("NE", s, t), [(2, 1, 3)], "inv"),
+         qstats.thm62_rhs(s, t)) for s, t in _shapes(max_n)))
 
 
 def check_thm63(max_n: int = 14) -> CheckResult:
-    failures, n_inst = [], 0
+    rows = []
     for s, t in _shapes(max_n):
-        n_inst += 1
         gf = qstats.stat_gf(build("EN", s, t), [(1, 2, 4, 3)], "inv")
-        lo = next(k for k, c in enumerate(gf) if c)
-        hi = degree(gf)
-        if (lo, hi) != formulas.inv_bounds_1243(s, t):
-            failures.append(f"({s},{t}): got ({lo},{hi})")
-    return _check("1243 inversion bounds", failures, n_inst)
+        lo, hi = _span(gf)
+        rows.append((f"({s},{t}): got ({lo},{hi})", (lo, hi),
+                     formulas.inv_bounds_1243(s, t)))
+    return _compare("1243 inversion bounds", rows)
 
 
 def check_12354_paths(max_n: int = 12) -> CheckResult:
-    failures, n_inst = [], 0
+    rows = []
     for s, t in _shapes(max_n, min_t=2):
-        n_inst += 1
         lhs = paths.enumerate_12354_paths(s, t)
         rhs = count_avoiders(build("EN", s, t), [(1, 2, 3, 5, 4)])
-        if lhs != rhs:
-            failures.append(f"({s},{t}): paths {lhs} != avoiders {rhs}")
-    return _check("three-letter path count vs 12354 avoiders", failures, n_inst)
+        rows.append((f"({s},{t}): paths {lhs} != avoiders {rhs}", lhs, rhs))
+    return _compare("three-letter path count vs 12354 avoiders", rows)
 
 
 def theorem_checks(fast: bool = False) -> list[CheckResult]:
-    if fast:
-        return [
-            check_formulas_vs_oracle(9), check_hook_count(12),
-            check_rc_closure(6), check_gentree(10), check_saw_zip_posets(9),
-            check_b_matrix(6, 5), check_count_2143(12), check_char_poly(),
-            check_bijections(9), check_thm61(5), check_thm62(10),
-            check_thm63(10), check_12354_paths(9),
-        ]
-    return [
-        check_formulas_vs_oracle(), check_hook_count(), check_rc_closure(),
-        check_gentree(), check_saw_zip_posets(), check_b_matrix(),
-        check_count_2143(), check_char_poly(), check_bijections(),
-        check_thm61(), check_thm62(), check_thm63(), check_12354_paths(),
-    ]
+    # each check with its --fast arguments; the full run uses the
+    # checks' defaults
+    table = ((check_formulas_vs_oracle, (9,)), (check_hook_count, (12,)),
+             (check_rc_closure, (6,)), (check_gentree, (10,)),
+             (check_saw_zip_posets, (9,)), (check_b_matrix, (6, 5)),
+             (check_count_2143, (12,)), (check_char_poly, ()),
+             (check_bijections, (9,)), (check_thm61, (5,)),
+             (check_thm62, (10,)), (check_thm63, (10,)),
+             (check_12354_paths, (9,)))
+    return [check(*fast_args) if fast else check()
+            for check, fast_args in table]
 
 
 # ---------------------------------------------------------------------------
 # conjecture suite
 
 def conj_2143_t2(max_s: int = 6) -> CheckResult:
-    failures = []
+    rows = []
     for s in range(1, max_s + 1):
         got = qstats.stat_gf(build("EN", s, 2), [(2, 1, 4, 3)], "inv")
-        if got != qstats.conj_2143_t2_rhs(s):
-            failures.append(f"s={s}: {format_q(got)}")
-    return _check("two-column 2143 inversion polynomial", failures, max_s,
-                  conjecture=True)
+        rows.append((f"s={s}: {format_q(got)}", got,
+                     qstats.conj_2143_t2_rhs(s)))
+    return _compare("two-column 2143 inversion polynomial", rows,
+                    conjecture=True)
 
 
 def conj_2143_t3(max_s: int = 5) -> CheckResult:
-    failures = []
+    rows = []
     for s in range(1, max_s + 1):
         got = qstats.stat_gf(build("EN", s, 3), [(2, 1, 4, 3)], "inv")
-        if got != qstats.conj_2143_t3_rhs(s):
-            failures.append(f"s={s}: {format_q(got)}")
-    return _check("three-column 2143 inversion polynomial", failures, max_s,
-                  conjecture=True)
+        rows.append((f"s={s}: {format_q(got)}", got,
+                     qstats.conj_2143_t3_rhs(s)))
+    return _compare("three-column 2143 inversion polynomial", rows,
+                    conjecture=True)
 
 
 def conj_1243_rows3(max_t: int = 3) -> CheckResult:
-    failures = []
+    rows = []
     for t in range(1, max_t + 1):
         got = qstats.stat_gf(build("EN", 3, 2 * t - 1), [(1, 2, 4, 3)], "inv")
-        if got != qstats.conj_1243_rhs(t):
-            failures.append(f"t={t}: {format_q(got)}")
-    return _check("three-row odd-column 1243 inversion polynomial",
-                  failures, max_t, conjecture=True)
+        rows.append((f"t={t}: {format_q(got)}", got, qstats.conj_1243_rhs(t)))
+    return _compare("three-row odd-column 1243 inversion polynomial", rows,
+                    conjecture=True)
 
 
 def conj_F_coefficients(max_s: int = 10) -> list[CheckResult]:
@@ -364,24 +329,20 @@ def conj_F_coefficients(max_s: int = 10) -> list[CheckResult]:
 
 
 def conj_maj_identities(max_size: int = 6) -> CheckResult:
-    failures, n_inst = _two_line("maj", qstats.maj_conjecture_rhs, max_size)
-    return _check("two-line major-index polynomials", failures, n_inst,
-                  conjecture=True)
+    return _compare("two-line major-index polynomials",
+                    _two_line("maj", qstats.maj_conjecture_rhs, max_size),
+                    conjecture=True)
 
 
 def conj_maj_ratio_1243(max_n: int = 12) -> CheckResult:
     """Maximum major index claimed to be exactly twice the minimum over
     the 1243-avoiding EN extensions."""
-    failures, n_inst = [], 0
+    rows = []
     for s, t in _shapes(max_n):
-        n_inst += 1
         gf = qstats.stat_gf(build("EN", s, t), [(1, 2, 4, 3)], "maj")
-        lo = next(k for k, c in enumerate(gf) if c)
-        hi = degree(gf)
-        if hi != 2 * lo:
-            failures.append(f"({s},{t}): min {lo}, max {hi}")
-    return _check("1243 major-index max = 2 min", failures, n_inst,
-                  conjecture=True)
+        lo, hi = _span(gf)
+        rows.append((f"({s},{t}): min {lo}, max {hi}", hi, 2 * lo))
+    return _compare("1243 major-index max = 2 min", rows, conjecture=True)
 
 
 def conjecture_checks(fast: bool = False) -> list[CheckResult]:

@@ -153,6 +153,12 @@ class TestList:
         assert code == 1
         assert "force" in err
 
+    def test_csv_is_a_usage_error(self, run):
+        code, out, err = run("list", "--poset", "EN:2x2", "--format", "csv")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert "invalid choice: 'csv'" in err
+
     def test_no_extensions(self, run, capsys):
         # every extension contains 1: one empty line, not an error
         assert main(["list", "--poset", "EN:2x2", "--avoid", "1"]) == 0
@@ -288,6 +294,31 @@ class TestBijection:
         code, _, err = run("bijection", "--poset", "EN:2x2",
                            "--kind", "tableau", "--perm", "1234")
         assert code == 1
+
+    @pytest.mark.parametrize("poset, kind, given", [
+        ("NE:2x2", "tableau", ("--perm", "3142")),
+        ("EN:2x2+saw", "tableau", ("--perm", "3142")),
+        ("SW:2x2", "fcpath", ("--word", "NENE")),
+        ("EN:2x2", "fcpath", ("--word", "NENE")),
+        ("EN:2x2+zip", "fcpath", ("--perm", "3412")),
+        ("WN:2x2", "zipper", ("--word", "N1 N2 N1 N2")),
+        ("EN:3x2+saw", "zipper", ("--perm", "563412"))])
+    def test_kind_fixes_the_poset(self, run, poset, kind, given):
+        code, out, err = run("bijection", "--poset", poset, "--kind", kind,
+                             *given)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --kind {kind} needs the poset EN:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--format", "csv"), "invalid choice: 'csv'"),
+        (("--force",), "unrecognized arguments: --force")])
+    def test_inert_options_are_usage_errors(self, run, extra, message):
+        code, out, err = run("bijection", "--poset", "EN:2x2",
+                             "--kind", "tableau", "--perm", "3142", *extra)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert message in err
 
 
 class TestCharpoly:

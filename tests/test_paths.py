@@ -169,3 +169,75 @@ class TestPaths12354:
         images = {ext_to_12354_path(pi, s, t) for pi in exts}
         assert len(images) == len(exts)
         assert images == set(paths_12354(s, t))
+
+
+def _prefixes(word):
+    return [word[:i] for i in range(len(word) + 1)]
+
+
+@st.composite
+def _arrangements(draw, letters, stray):
+    """A shuffle of letters; now and then one entry becomes a stray
+    letter, which also breaks the letter counts."""
+    word = list(draw(st.permutations(letters)))
+    if word and draw(st.booleans()):
+        word[draw(st.integers(0, len(word) - 1))] = stray
+    return word
+
+
+class TestPredicatesByPrefix:
+    """Each path predicate against its definition restated prefix by
+    prefix."""
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuss_catalan(self, s, t, data):
+        w = "".join(data.draw(_arrangements(
+            "N" * (max(t - 1, 0) * s) + "E" * s, "x")))
+        want = (t >= 1 and set(w) <= set("NE")
+                and w.count("N") == (t - 1) * w.count("E")
+                and all(p.count("N") >= (t - 1) * p.count("E")
+                        for p in _prefixes(w)))
+        assert is_fuss_catalan(w, t) == want
+
+    @given(st.integers(0, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_jk_catalan(self, n, data):
+        j = data.draw(st.integers(0, n + 1))
+        w = "".join(data.draw(_arrangements("N" * j + "E" * n, "x")))
+        # mostly the number of trailing Es, so that the tail often fits
+        k = data.draw(st.just(len(w) - len(w.rstrip("E")))
+                      | st.integers(0, n + 1))
+        want = (0 <= j <= n and 1 <= k <= n and len(w) == j + n
+                and w.count("N") == j and w.count("E") == n
+                and (w.endswith("N" + "E" * k) or w == "E" * k == "E" * n)
+                and all(n - j + p.count("N") >= p.count("E")
+                        for p in _prefixes(w)))
+        assert is_jk_catalan(w, n, j, k) == want
+
+    @given(st.integers(0, 3), st.integers(1, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_12354_path(self, s, t, data):
+        w = tuple(data.draw(_arrangements(
+            ("N1", "N2") * s + ("E",) * (max(t - 2, 0) * s), "N3")))
+        want = (t >= 2 and len(w) == s * t
+                and set(w) <= {"N1", "N2", "E"}
+                and w.count("N1") == w.count("N2") == s
+                and all(p.count("N1") >= p.count("N2")
+                        and p.count("E") >= (t - 2) * p.count("N1")
+                        for p in _prefixes(w)))
+        assert is_12354_path(w, s, t) == want
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_zipper(self, s, t, data):
+        w = tuple(data.draw(_arrangements(
+            tuple(range(1, s + 1)) * t, s + 1)))
+        at = lambda j: [i for i, x in enumerate(w) if x == j]
+        want = (len(w) == s * t and set(w) <= set(range(1, s + 1))
+                and all(w.count(j) == t for j in range(1, s + 1))
+                and all(p.count(j) >= p.count(j + 1)
+                        for p in _prefixes(w) for j in range(1, s))
+                and all(max(at(j)) < min(at(j + 2))
+                        for j in range(1, s - 1)))
+        assert is_zipper(w, s, t) == want
