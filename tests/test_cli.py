@@ -374,6 +374,66 @@ class TestVerify:
         assert (code, out) == (want_code, golden.read_text().rstrip("\n"))
 
 
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli_outputs.json"
+FCPERM = "10,11,7,12,8,9,4,5,1,6,2,3"
+GOLDEN_ARGVS = [
+    [cmd, *argv, *fmt] for cmd, argv, formats in [
+        ("count", ["--poset", "EN:4x3", "--avoid", "1243"],
+         ("plain", "json", "csv")),
+        ("count", ["--poset", "NE:3x3", "--avoid", "213", "--avoid", "123"],
+         ("plain", "json", "csv")),
+        ("count", ["--poset", "EN:3x4+zip"], ("plain", "json", "csv")),
+        ("list", ["--poset", "EN:3x2", "--avoid", "2143"], ("plain", "json")),
+        ("list", ["--poset", "EN:2x2", "--avoid", "1"], ("plain", "json")),
+        ("table", ["--family", "NE", "--avoid", "123", "--max-s", "3",
+                   "--max-t", "9"], ("plain", "json", "csv")),
+        ("table", ["--family", "EN", "--max-s", "12", "--max-t", "2"],
+         ("plain", "csv")),
+        ("qpoly", ["--poset", "EN:3x3", "--avoid", "2143"],
+         ("plain", "json", "csv")),
+        ("qpoly", ["--poset", "NE:3x2", "--avoid", "123", "--stat", "maj"],
+         ("plain", "json", "csv")),
+        ("charpoly", ["--t", "5"], ("plain", "json", "csv")),
+        ("bijection", ["--poset", "EN:2x3", "--kind", "tableau",
+                       "--perm", "451623"], ("plain", "json")),
+        ("bijection", ["--poset", "EN:2x3", "--kind", "tableau",
+                       "--word", "[[1, 3, 5], [2, 4, 6]]"], ("plain", "json")),
+        ("bijection", ["--poset", "EN:4x3+saw", "--kind", "fcpath",
+                       "--perm", FCPERM], ("plain", "json")),
+        ("bijection", ["--poset", "EN:4x3+saw", "--kind", "fcpath",
+                       "--word", "NNNENENNNENE"], ("plain", "json")),
+        ("bijection", ["--poset", "EN:2x2+zip", "--kind", "zipper",
+                       "--perm", "3142"], ("plain", "json")),
+        ("bijection", ["--poset", "EN:2x2+zip", "--kind", "zipper",
+                       "--word", "N1 N2 N1 N2"], ("plain", "json")),
+        ("verify", ["--suite", "theorems", "--fast"], ("json",)),
+        ("verify", ["--suite", "conjectures", "--fast"], ("json",)),
+        # refusals and input errors
+        ("list", ["--poset", "EN:6x6"], ("plain",)),
+        ("qpoly", ["--poset", "EN:6x6", "--avoid", "123"], ("plain",)),
+        ("count", ["--poset", "EN:6x6", "--avoid", "1324"], ("plain",)),
+        ("count", ["--poset", "EN:6x6", "--avoid", "12345",
+                   "--route", "oracle"], ("plain",)),
+        ("count", ["--poset", "EN:3x3", "--route", "transfer"], ("plain",)),
+        ("count", ["--poset", "EN:4y3"], ("json",)),
+        ("qpoly", ["--poset", "EN:2x2", "--avoid", "122"], ("csv",)),
+        ("table", ["--family", "XY", "--max-s", "2", "--max-t", "2"],
+         ("plain",)),
+        ("bijection", ["--poset", "EN:2x2", "--kind", "tableau"], ("json",)),
+    ] for fmt in (["--format", f] if f != "plain" else [] for f in formats)]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
+    def test_output_is_golden(self, capsys, argv):
+        """Exit code, stdout and stderr, byte for byte, as main gave them
+        before the subcommands shared their input and output helpers."""
+        want = json.loads(GOLDEN_CLI.read_text())[" ".join(argv)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert {"code": code, "stdout": out, "stderr": err} == want
+
+
 class TestCache:
     def test_cache_hit_is_byte_identical(self, run, tmp_path):
         argv = ("count", "--poset", "EN:4x3", "--avoid", "1243")
