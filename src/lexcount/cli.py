@@ -12,12 +12,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from . import formulas, paths, qstats, transfer, verify
 from .engine import count_avoiders, count_extensions, list_avoiders
 from .perms import descents, format_perm, parse_perm
-from .polys import format_q, format_x, to_csv, to_json_dict
+from .polys import QPoly, format_q, format_x, to_json_dict
 from .posets import (FAMILIES, GridPoset, build, canonicalize,
                      parse_poset_spec, saw_poset, zip_poset)
 
@@ -68,36 +68,49 @@ def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
     return next(iter(routes.items()), (None, None))
 
 
+def _read(args: argparse.Namespace, refuse: str = ""
+          ) -> tuple[Optional[GridPoset], list[tuple[int, ...]], dict]:
+    """The parsed --poset and --avoid of a subcommand that takes them, and
+    their json echo.  With `refuse`, a poset of more than ORACLE_GUARD
+    elements is refused without --force."""
+    poset = parse_poset_spec(args.poset) if "poset" in args else None
+    patterns = [parse_perm(p) for p in getattr(args, "avoid", ())]
+    if refuse and poset.n > ORACLE_GUARD and not args.force:
+        raise CliError(f"{refuse} refused for {poset.n} elements; "
+                       "pass --force")
+    echo = {} if poset is None else {"poset": poset.spec_string()}
+    if "avoid" in args:
+        echo["patterns"] = [format_perm(p) for p in patterns]
+    return poset, patterns, echo
+
+
+def _render(args: argparse.Namespace, plain: str, payload: dict,
+            rows: Sequence[Sequence] = ()) -> str:
+    """The answer in args.format: plain text, the payload as json, or the
+    rows as csv."""
+    if args.format == "json":
+        return json.dumps(payload, sort_keys=True)
+    if args.format == "csv":
+        return "\n".join(",".join(map(str, row)) for row in rows)
+    return plain
+
+
 def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
-    poset = parse_poset_spec(args.poset)
-    patterns = [parse_perm(p) for p in args.avoid]
+    poset, patterns, echo = _read(args)
     route, value = _solve(poset, patterns, args.force, args.route)
     if route is None:
         raise CliError(
             f"no affordable route for {poset.n} elements; pass --force "
             "to run the oracle anyway")
-    if args.format == "json":
-        return 0, json.dumps({"value": value, "route": route,
-                              "poset": poset.spec_string(),
-                              "patterns": [format_perm(p) for p in patterns]},
-                             sort_keys=True)
-    if args.format == "csv":
-        return 0, f"value,route\n{value},{route}"
-    return 0, f"{value}\nroute: {route}"
+    return 0, _render(args, f"{value}\nroute: {route}",
+                      {**echo, "value": value, "route": route},
+                      [("value", "route"), (value, route)])
 
 
 def cmd_list(args: argparse.Namespace) -> tuple[int, str]:
-    poset = parse_poset_spec(args.poset)
-    patterns = [parse_perm(p) for p in args.avoid]
-    if poset.n > ORACLE_GUARD and not args.force:
-        raise CliError(
-            f"listing refused for {poset.n} elements; pass --force")
+    poset, patterns, echo = _read(args, refuse="listing")
     exts = [format_perm(pi) for pi in list_avoiders(poset, patterns)]
-    if args.format == "json":
-        return 0, json.dumps({"poset": poset.spec_string(),
-                              "patterns": [format_perm(p) for p in patterns],
-                              "extensions": exts}, sort_keys=True)
-    return 0, "\n".join(exts)
+    return 0, _render(args, "\n".join(exts), {**echo, "extensions": exts})
 
 
 def _table_cell(family: str, s: int, t: int,
@@ -111,56 +124,37 @@ def _table_cell(family: str, s: int, t: int,
 def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     if args.family not in FAMILIES:
         raise CliError(f"unknown family {args.family!r}")
-    patterns = [parse_perm(p) for p in args.avoid]
+    _, patterns, echo = _read(args)
     grid = [[_table_cell(args.family, s, t, patterns, args.force)
              for t in range(1, args.max_t + 1)]
             for s in range(1, args.max_s + 1)]
-    txt = [["-" if v is None else str(v) for v in row] for row in grid]
-    if args.format == "json":
-        return 0, json.dumps({"family": args.family,
-                              "patterns": [format_perm(p) for p in patterns],
-                              "rows": grid}, sort_keys=True)
-    header = ["s/t"] + [str(t) for t in range(1, args.max_t + 1)]
-    if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join([str(s + 1)] + row) for s, row in enumerate(txt)]
-        return 0, "\n".join(lines)
-    widths = [max(len(header[0]), len(str(args.max_s)))]
-    widths += [max(len(header[c]), max(len(row[c - 1]) for row in txt))
-               for c in range(1, args.max_t + 1)]
-    out = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for s, row in enumerate(txt, start=1):
-        cells = [str(s).rjust(widths[0])]
-        cells += [v.rjust(w) for v, w in zip(row, widths[1:])]
-        out.append("  ".join(cells))
-    return 0, "\n".join(out)
+    rows = [["s/t"] + [str(t) for t in range(1, args.max_t + 1)]]
+    rows += [[str(s)] + ["-" if v is None else str(v) for v in row]
+             for s, row in enumerate(grid, start=1)]
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    plain = "\n".join("  ".join(v.rjust(w) for v, w in zip(row, widths))
+                      for row in rows)
+    return 0, _render(args, plain, {**echo, "family": args.family,
+                                    "rows": grid}, rows)
+
+
+def _poly_output(args: argparse.Namespace, gf: QPoly,
+                 fmt: Callable[[QPoly], str], echo: dict) -> tuple[int, str]:
+    """A polynomial as fmt's text, its coefficients and the echo as json,
+    or one csv row per nonzero coefficient."""
+    return 0, _render(args, fmt(gf), {**echo, **to_json_dict(gf)},
+                      [("power", "coefficient")]
+                      + [(k, c) for k, c in enumerate(gf) if c])
 
 
 def cmd_qpoly(args: argparse.Namespace) -> tuple[int, str]:
-    poset = parse_poset_spec(args.poset)
-    patterns = [parse_perm(p) for p in args.avoid]
-    if poset.n > ORACLE_GUARD and not args.force:
-        raise CliError(
-            f"q-polynomial refused for {poset.n} elements; pass --force")
-    gf = qstats.stat_gf(poset, patterns, args.stat)
-    if args.format == "json":
-        payload = to_json_dict(gf)
-        payload.update({"poset": poset.spec_string(), "stat": args.stat,
-                        "patterns": [format_perm(p) for p in patterns]})
-        return 0, json.dumps(payload, sort_keys=True)
-    if args.format == "csv":
-        return 0, to_csv(gf)
-    return 0, format_q(gf)
-
-
-def _path_descents(word: str) -> list[int]:
-    """Positions (1-based) where an N step is immediately followed by E."""
-    return [i + 1 for i in range(len(word) - 1)
-            if word[i] == "N" and word[i + 1] == "E"]
+    poset, patterns, echo = _read(args, refuse="q-polynomial")
+    return _poly_output(args, qstats.stat_gf(poset, patterns, args.stat),
+                        format_q, {**echo, "stat": args.stat})
 
 
 def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
-    poset = parse_poset_spec(args.poset)
+    poset, _, payload = _read(args)
     s, t = poset.s, poset.t
     # each kind encodes the extensions of one poset
     if args.kind == "tableau":
@@ -172,27 +166,29 @@ def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
                        f"{want.spec_string()}, not {poset.spec_string()}")
     if (args.perm is None) == (args.word is None):
         raise CliError("exactly one of --perm and --word is required")
-    payload: dict = {"kind": args.kind, "poset": poset.spec_string()}
+    payload["kind"] = args.kind
     if args.perm is not None:
         pi = parse_perm(args.perm)
         if args.kind == "tableau":
-            T = paths.ext_to_tableau(pi, s, t)
-            payload["tableau"] = [list(r) for r in T]
-            plain = json.dumps(payload["tableau"])
+            T = [list(r) for r in paths.ext_to_tableau(pi, s, t)]
+            payload["tableau"] = T
+            plain = json.dumps(T)
         elif args.kind == "fcpath":
             w = paths.ext_to_fcpath(pi, s, t)
-            payload["path"] = w
-            payload["extension_descents"] = sorted(descents(pi))
-            payload["path_descents"] = _path_descents(w)
-            plain = (f"{w}\nextension descents: "
-                     f"{payload['extension_descents']}\n"
-                     f"path descents: {payload['path_descents']}")
+            ext_d, path_d = sorted(descents(pi)), sorted(descents(w))
+            payload.update(path=w, extension_descents=ext_d,
+                           path_descents=path_d)
+            plain = (f"{w}\nextension descents: {ext_d}\n"
+                     f"path descents: {path_d}")
         else:
             plain = paths.format_zipper(paths.ext_to_zipper(pi, s, t))
             payload["word"] = plain
     else:
         if args.kind == "tableau":
-            rows = json.loads(args.word)
+            try:
+                rows = json.loads(args.word)
+            except RecursionError:  # nested too deep to be a tableau
+                rows = None
             if not (isinstance(rows, list) and len(rows) == s
                     and all(isinstance(r, list) and len(r) == t
                             and all(type(v) is int for v in r) for r in rows)):
@@ -205,20 +201,12 @@ def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
             pi = paths.zipper_to_ext(paths.parse_zipper(args.word), s, t)
         plain = format_perm(pi)
         payload["extension"] = plain
-    if args.format == "json":
-        return 0, json.dumps(payload, sort_keys=True)
-    return 0, plain
+    return 0, _render(args, plain, payload)
 
 
 def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
-    cp = transfer.char_poly(args.t)
-    if args.format == "json":
-        payload = to_json_dict(cp)
-        payload["t"] = args.t
-        return 0, json.dumps(payload, sort_keys=True)
-    if args.format == "csv":
-        return 0, to_csv(cp)
-    return 0, format_x(cp)
+    return _poly_output(args, transfer.char_poly(args.t), format_x,
+                        {"t": args.t})
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
@@ -226,23 +214,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         results = verify.theorem_checks(fast=args.fast)
     else:
         results = verify.conjecture_checks(fast=args.fast)
-    lines = []
-    for r in results:
-        mark = "ok  " if r.ok else "FAIL"
-        lines.append(f"[{mark}] {r.name}: {r.status}"
-                     + (f" ({r.detail})" if r.detail else ""))
+    lines = [f"[{'ok  ' if r.ok else 'FAIL'}] {r.name}: {r.status}"
+             + (f" ({r.detail})" if r.detail else "") for r in results]
     if args.suite == "conjectures":
-        for row in qstats.f_coeff_export(10):
-            lines.append(f"[info] {row['coefficient']} of F "
-                         f"(compare {row['reference']}): {row['values']}")
+        lines += [f"[info] {row['coefficient']} of F "
+                  f"(compare {row['reference']}): {row['values']}"
+                  for row in qstats.f_coeff_export(10)]
     code = 0 if all(r.ok for r in results) else 2
-    if args.format == "json":
-        return code, json.dumps(
-            {"suite": args.suite,
-             "checks": [{"name": r.name, "status": r.status,
-                         "detail": r.detail} for r in results]},
-            sort_keys=True)
-    return code, "\n".join(lines)
+    return code, _render(args, "\n".join(lines), {
+        "suite": args.suite, "checks": [r._asdict() for r in results]})
 
 
 # hashlib is imported only on the cache path: loading OpenSSL would cost

@@ -137,9 +137,3 @@ def format_x(a: Sequence[int]) -> str:
 
 def to_json_dict(a: Sequence[int]) -> dict:
     return {"coeffs": list(poly(a))}
-
-
-def to_csv(a: Sequence[int]) -> str:
-    """A "power,coefficient" header and one row per nonzero coefficient."""
-    return "\n".join(["power,coefficient"]
-                     + [f"{k},{c}" for k, c in enumerate(a) if c])

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from sys import maxsize
 from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Perm, reverse as perm_reverse
@@ -175,6 +176,8 @@ def build(family: str, s: int, t: int) -> GridPoset:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if s <= 0 or t <= 0:
         raise ValueError(f"dimensions must be positive, got s={s}, t={t}")
+    if s * t > maxsize:
+        raise ValueError(f"too many elements, got s={s}, t={t}")
     gs, gt = (t, s) if family in _SWAPPED else (s, t)
     coords = _grid_coords(gs, gt, ne=family in _NE_BASED)
     return GridPoset(family=family, s=s, t=t, grid_s=gs, grid_t=gt,
@@ -196,10 +199,10 @@ def saw_poset(s: int, t: int) -> GridPoset:
     if s == 0:
         return GridPoset(family="EN", s=0, t=t, grid_s=0, grid_t=t,
                          coords=(), tag="saw")
-    if t == 1:
-        return build("EN", s, t)
-    extra = frozenset(((j + 1) * t, (j - 1) * t + 2) for j in range(1, s))
     base = build("EN", s, t)
+    if t == 1:
+        return base
+    extra = frozenset(((j + 1) * t, (j - 1) * t + 2) for j in range(1, s))
     return GridPoset(family="EN", s=s, t=t, grid_s=s, grid_t=t,
                      coords=base.coords, extra_before=extra, tag="saw")
 

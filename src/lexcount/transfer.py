@@ -23,19 +23,19 @@ BMatrix = tuple[tuple[int, ...], ...]
 
 @lru_cache(maxsize=None)
 def b_matrix(n: int) -> BMatrix:
+    """(b_{j,k}(n)) for 1 <= j, k <= n.  The recurrence runs for m = 1..n
+    in turn, without recursion: row j of b(m) adds row j of b(m - 1) to
+    row j - 1 of b(m), and its last entry is 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-
-    @lru_cache(maxsize=None)
-    def b(j: int, k: int, m: int) -> int:
-        if j < 1 or m < 1 or j > m or not 1 <= k <= m:
-            return 0
-        if j == 1 or k == m:
-            return 1
-        return b(j, k, m - 1) + b(j - 1, k, m)
-
-    return tuple(tuple(b(j, k, n) for k in range(1, n + 1))
-                 for j in range(1, n + 1))
+    b = [[1]]
+    for m in range(2, n + 1):
+        prev = b + [[0] * (m - 1)]  # b_{m,k}(m-1) = 0
+        b = [[1] * m]  # b_{1,k}(m) = 1
+        # b_{j+1,k}(m) = b_{j+1,k}(m-1) + b_{j,k}(m), and b_{j+1,m}(m) = 1
+        for j in range(1, m):
+            b.append([p + q for p, q in zip(prev[j], b[j - 1])] + [1])
+    return tuple(map(tuple, b))
 
 
 def a_vector(t: int, s: int) -> tuple[int, ...]:

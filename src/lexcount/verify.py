@@ -178,37 +178,30 @@ def check_char_poly() -> CheckResult:
 
 
 def check_bijections(max_n: int = 12) -> CheckResult:
-    from .engine import avoiders, linear_extensions
+    """Each encoding sends the extensions it encodes to valid objects that
+    decode back, and its image is every object of the shape."""
+    from .engine import avoiders
+    kinds = (("tableau", (), paths.ext_to_tableau,
+              lambda T, s, t: paths.is_standard_tableau(T),
+              lambda T, s, t: paths.tableau_to_ext(T),
+              paths.standard_tableaux),
+             ("fcpath", [(1, 2, 4, 3)], paths.ext_to_fcpath,
+              lambda w, s, t: paths.is_fuss_catalan(w, t),
+              paths.fcpath_to_ext, paths.fc_paths),
+             ("zipper", [(2, 1, 4, 3)], paths.ext_to_zipper, paths.is_zipper,
+              paths.zipper_to_ext, paths.zippers))
     failures, n_inst = [], 0
     for s, t in _shapes(max_n):
-        for pi in linear_extensions(build("EN", s, t)):
-            T = paths.ext_to_tableau(pi, s, t)
-            n_inst += 1
-            if not paths.is_standard_tableau(T) or paths.tableau_to_ext(T) != pi:
-                failures.append(f"tableau {s}x{t} {pi}")
-                break
-        if {paths.ext_to_tableau(pi, s, t)
-                for pi in linear_extensions(build("EN", s, t))} != \
-                set(paths.standard_tableaux(s, t)):
-            failures.append(f"tableau image {s}x{t}")
-        exts = list(avoiders(build("EN", s, t), [(1, 2, 4, 3)]))
-        for pi in exts:
-            w = paths.ext_to_fcpath(pi, s, t)
-            n_inst += 1
-            if not paths.is_fuss_catalan(w, t) or paths.fcpath_to_ext(w, s, t) != pi:
-                failures.append(f"fcpath {s}x{t} {pi}")
-                break
-        if {paths.ext_to_fcpath(pi, s, t) for pi in exts} != set(paths.fc_paths(s, t)):
-            failures.append(f"fcpath image {s}x{t}")
-        zexts = list(avoiders(build("EN", s, t), [(2, 1, 4, 3)]))
-        for pi in zexts:
-            w = paths.ext_to_zipper(pi, s, t)
-            n_inst += 1
-            if not paths.is_zipper(w, s, t) or paths.zipper_to_ext(w, s, t) != pi:
-                failures.append(f"zipper {s}x{t} {pi}")
-                break
-        if {paths.ext_to_zipper(pi, s, t) for pi in zexts} != set(paths.zippers(s, t)):
-            failures.append(f"zipper image {s}x{t}")
+        for kind, pats, encode, valid, decode, objects in kinds:
+            exts = list(avoiders(build("EN", s, t), pats))
+            for pi in exts:
+                w = encode(pi, s, t)
+                n_inst += 1
+                if not valid(w, s, t) or decode(w, s, t) != pi:
+                    failures.append(f"{kind} {s}x{t} {pi}")
+                    break
+            if {encode(pi, s, t) for pi in exts} != set(objects(s, t)):
+                failures.append(f"{kind} image {s}x{t}")
     return _check("bijection roundtrips and images", failures, n_inst)
 
 
@@ -258,18 +251,24 @@ def check_12354_paths(max_n: int = 12) -> CheckResult:
     return _compare("three-letter path count vs 12354 avoiders", rows)
 
 
+def _run(table, fast: bool) -> list[CheckResult]:
+    """Each check of table with its --fast arguments, or with its own
+    defaults for the full run; a check may give a list of results."""
+    out = []
+    for check, fast_args in table:
+        res = check(*fast_args) if fast else check()
+        out += res if isinstance(res, list) else [res]
+    return out
+
+
 def theorem_checks(fast: bool = False) -> list[CheckResult]:
-    # each check with its --fast arguments; the full run uses the
-    # checks' defaults
-    table = ((check_formulas_vs_oracle, (9,)), (check_hook_count, (12,)),
-             (check_rc_closure, (6,)), (check_gentree, (10,)),
-             (check_saw_zip_posets, (9,)), (check_b_matrix, (6, 5)),
-             (check_count_2143, (12,)), (check_char_poly, ()),
-             (check_bijections, (9,)), (check_thm61, (5,)),
-             (check_thm62, (10,)), (check_thm63, (10,)),
-             (check_12354_paths, (9,)))
-    return [check(*fast_args) if fast else check()
-            for check, fast_args in table]
+    return _run(((check_formulas_vs_oracle, (9,)), (check_hook_count, (12,)),
+                 (check_rc_closure, (6,)), (check_gentree, (10,)),
+                 (check_saw_zip_posets, (9,)), (check_b_matrix, (6, 5)),
+                 (check_count_2143, (12,)), (check_char_poly, ()),
+                 (check_bijections, (9,)), (check_thm61, (5,)),
+                 (check_thm62, (10,)), (check_thm63, (10,)),
+                 (check_12354_paths, (9,))), fast)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +345,7 @@ def conj_maj_ratio_1243(max_n: int = 12) -> CheckResult:
 
 
 def conjecture_checks(fast: bool = False) -> list[CheckResult]:
-    if fast:
-        out = [conj_2143_t2(4), conj_2143_t3(3), conj_1243_rows3(2)]
-        out += conj_F_coefficients(6)
-        out += [conj_maj_identities(4), conj_maj_ratio_1243(8)]
-        return out
-    out = [conj_2143_t2(), conj_2143_t3(), conj_1243_rows3()]
-    out += conj_F_coefficients()
-    out += [conj_maj_identities(), conj_maj_ratio_1243()]
-    return out
+    return _run(((conj_2143_t2, (4,)), (conj_2143_t3, (3,)),
+                 (conj_1243_rows3, (2,)), (conj_F_coefficients, (6,)),
+                 (conj_maj_identities, (4,)), (conj_maj_ratio_1243, (8,))),
+                fast)

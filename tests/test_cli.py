@@ -623,6 +623,27 @@ def cli_argvs(draw):
 
 
 class TestRobustness:
+    @pytest.mark.parametrize("argv", [
+        [cmd, "--poset", spec] + extra
+        for cmd, extra in [("count", []), ("list", []), ("qpoly", []),
+                           ("bijection", ["--kind", "tableau", "--perm", "1"])]
+        for spec in ("EN:99999999999999999999x1", "NW:3x3074457345618258603")
+    ] + [["count", "--poset", "EN:99999999999999999999x2+zip"]])
+    def test_poset_beyond_an_index(self, run, argv):
+        # s*t does not fit an index: refused before anything is allocated
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: too many elements, got s=")
+        assert len(err.splitlines()) == 1
+
+    def test_deeply_nested_tableau_word(self, run):
+        word = "[" * 30000 + "]" * 30000
+        code, out, err = run("bijection", "--poset", "EN:2x2",
+                             "--kind", "tableau", "--word", word)
+        assert (code, out) == (1, "")
+        assert err == ("error: --word must be a JSON list of 2 lists of 2 "
+                       "integers for EN:2x2\n")
+
     @given(cli_argvs())
     @settings(max_examples=400, deadline=None)
     def test_never_a_traceback(self, argv):

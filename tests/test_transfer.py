@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from lexcount.engine import count_avoiders
@@ -5,6 +10,8 @@ from lexcount.formulas import count_2143_closed
 from lexcount.posets import build
 from lexcount.transfer import (a_vector, b_matrix, char_poly, count_2143,
                                recurrence_extend)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestBMatrix:
@@ -30,6 +37,28 @@ class TestBMatrix:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             b_matrix(0)
+
+    def test_matches_the_recurrence(self):
+        b = {}
+        for m in range(1, 13):
+            for j in range(1, m + 1):
+                for k in range(1, m + 1):
+                    b[j, k, m] = (1 if j == 1 or k == m else
+                                  b.get((j, k, m - 1), 0) + b[j - 1, k, m])
+            assert b_matrix(m) == tuple(
+                tuple(b[j, k, m] for k in range(1, m + 1))
+                for j in range(1, m + 1))
+
+    def test_large_n_needs_no_recursion(self):
+        # a recursive build would need about n frames, past this limit
+        code = ("import sys; sys.setrecursionlimit(200); "
+                "from lexcount.transfer import b_matrix; "
+                "print(sum(b_matrix(150)[-1]))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        r = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert int(r.stdout) == sum(b_matrix(150)[-1])
 
 
 class TestAVector:
