@@ -385,6 +385,8 @@ GOLDEN_ARGVS = [
         ("count", ["--poset", "EN:3x4+zip"], ("plain", "json", "csv")),
         ("list", ["--poset", "EN:3x2", "--avoid", "2143"], ("plain", "json")),
         ("list", ["--poset", "EN:2x2", "--avoid", "1"], ("plain", "json")),
+        # n = 12: comma-separated lines
+        ("list", ["--poset", "EN:4x3", "--avoid", "1243"], ("plain", "json")),
         ("table", ["--family", "NE", "--avoid", "123", "--max-s", "3",
                    "--max-t", "9"], ("plain", "json", "csv")),
         ("table", ["--family", "EN", "--max-s", "12", "--max-t", "2"],
