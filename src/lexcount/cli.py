@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
 from . import formulas, paths, qstats, transfer, verify
-from .engine import count_avoiders, count_extensions, list_avoiders
+from .engine import count_avoiders, count_extensions, format_avoiders
 from .perms import descents, format_perm, parse_perm
 from .polys import QPoly, format_q, format_x, to_json_dict
 from .posets import (FAMILIES, GridPoset, build, canonicalize,
@@ -109,7 +109,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_list(args: argparse.Namespace) -> tuple[int, str]:
     poset, patterns, echo = _read(args, refuse="listing")
-    exts = [format_perm(pi) for pi in list_avoiders(poset, patterns)]
+    exts = list(format_avoiders(poset, patterns))
     return 0, _render(args, "\n".join(exts), {**echo, "extensions": exts})
 
 
@@ -187,7 +187,7 @@ def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
         if args.kind == "tableau":
             try:
                 rows = json.loads(args.word)
-            except RecursionError:  # nested too deep to be a tableau
+            except (ValueError, RecursionError):  # not JSON, or too deep
                 rows = None
             if not (isinstance(rows, list) and len(rows) == s
                     and all(isinstance(r, list) and len(r) == t

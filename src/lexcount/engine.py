@@ -10,7 +10,13 @@ into one state.  `count_avoiders` keeps a count per state, `stat_gf` a
 q-polynomial, to sum q^inv or q^maj.  `list_avoiders` keeps each state's
 out-edges instead, drops the states from which no extension can be
 completed, and walks what is left in increasing label order, so it lists
-the avoiders lexicographically and never enters a dead branch.
+the avoiders lexicographically and never enters a dead branch.  The walk
+concatenates one label token per element: tuples (x,) give `Perm` tuples,
+and `format_avoiders` passes the labels as text with `format_perm`'s
+separator, so that `list` prints the lines the walk builds.  The pass
+that drops dead states also gives every state with exactly one
+completion the tokens of that completion, its tail; the walk emits
+prefix + label + tail at such a state instead of descending into it.
 `count_extensions` is `count_avoiders` without patterns: its states are
 then the order ideals alone, and it has no element limit.
 
@@ -27,7 +33,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .perms import Perm, contains, ending_matcher, perm
+from .perms import Perm, contains, ending_matcher, perm, perm_sep
 from .polys import QPoly
 from .posets import GridPoset, build
 
@@ -88,39 +94,70 @@ def list_avoiders(poset: GridPoset,
     the list `avoiders` gives, read off the avoider DP's state graph.
 
     The graph is built and pruned before the iterator is returned, so a
-    cyclic poset or a bad pattern raises here.  A backward pass keeps only
-    the edges into states from which some extension can be completed;
-    every state of the last layer can, and a state of an earlier layer
-    can iff it keeps an edge.  Dead states are freed on return.
+    cyclic poset or a bad pattern raises here.  See `_walk_avoiders`.
+    """
+    return _walk_avoiders(poset, patterns,
+                          [(x,) for x in range(1, poset.n + 1)], ())
+
+
+def format_avoiders(poset: GridPoset,
+                    patterns: Iterable[Sequence[int]]) -> Iterator[str]:
+    """`format_perm` of each extension `list_avoiders` yields, in the same
+    order, built as text by the same walk."""
+    return _walk_avoiders(poset, patterns,
+                          [str(x) for x in range(1, poset.n + 1)],
+                          perm_sep(poset.n))
+
+
+def _walk_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]],
+                   labels: list, sep):
+    """Each pattern-avoiding extension as labels[x1 - 1] + sep + ... + sep
+    + labels[xn - 1], in lexicographic order: tuples for labels (x,) and
+    sep (), text for labels str(x).
+
+    A backward pass over the DP's state graph keeps only the edges into
+    states from which some extension can be completed; every state of the
+    last layer can, and a state of an earlier layer can iff it keeps an
+    edge.  The same pass gives each state with exactly one completion its
+    tail, sep + label + sep + ... + label of that completion (empty in the
+    last layer), and the edge into such a state carries the tail in place
+    of the state, so the walk emits prefix + label + tail there instead of
+    descending.  Dead states are freed on return.
     """
     layers = _avoider_dp(poset, patterns, "list", 0)
+    empty = sep[:0]
     if not layers[0]:
         return iter(())
     if poset.n == 0:
-        return iter([()])
-    # every edge out of layer n - 1 is live; the last layer has none
-    for layer in reversed(layers[:-2]):
+        return iter([empty])
+    tails = {id(edges): empty for edges in layers[-1]}
+    for layer in reversed(layers[:-1]):
         for edges in layer:
-            edges[:] = [e for e in edges if e[1]]
-    return _walk(layers[0][0])
+            edges[:] = [(x, tails.get(id(child), child))
+                        for x, child in edges if child or id(child) in tails]
+            if len(edges) == 1 and type(edges[0][1]) is not list:
+                x, tail = edges[0]
+                tails[id(edges)] = sep + labels[x] + tail
+    return _walk(layers[0][0], labels, sep)
 
 
-def _walk(root: list) -> Iterator[Perm]:
-    """Label sequences of the paths from root to the last layer of a
-    pruned state graph, whose edge lists are in increasing label order."""
-    prefix: list[int] = []
+def _walk(root: list, labels: list, sep) -> Iterator:
+    """prefix + labels[x] + tail for every edge (x, tail) of the pruned
+    graph below root, in increasing label order, each prefix the labels
+    on the way down, each followed by sep."""
+    tokens = [label + sep for label in labels]
+    prefixes = [sep[:0]]
     stack = [iter(root)]
     while stack:
         for x, child in stack[-1]:
-            if child:
-                prefix.append(x)
+            if type(child) is list:
+                prefixes.append(prefixes[-1] + tokens[x])
                 stack.append(iter(child))
                 break
-            yield (*prefix, x)
+            yield prefixes[-1] + labels[x] + child
         else:
             stack.pop()
-            if prefix:
-                prefix.pop()
+            prefixes.pop()
 
 
 def count_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> int:
@@ -164,8 +201,8 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     """Total weight of the pattern-avoiding extensions: their number if
     stat is None, else the sum of q^stat packed as in `stat_gf`.  If stat
     is "list", the state graph instead: layers[k] holds the out-edge list
-    [(label, child's out-edge list)] of every state of layer k, labels
-    increasing.
+    [(x, child's out-edge list)] of every state of layer k, one edge per
+    placeable element x + 1, x increasing.
 
     Layer k maps each state reachable by a k-element prefix to the total
     weight of such prefixes.  A state is (mask of placed elements, frozenset
@@ -242,7 +279,7 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
                     child = nxt.get(state)
                     if child is None:
                         child = nxt[state] = []
-                    ways.append((x + 1, child))
+                    ways.append((x, child))
                     continue
                 elif stat == "inv":
                     state = (mask | bit, after)

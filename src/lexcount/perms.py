@@ -135,10 +135,13 @@ def rc_closure_key(patterns: Iterable[Sequence[int]]) -> frozenset[Perm]:
     return min(ps, rc, key=lambda s: sorted(s))
 
 
+def perm_sep(n: int) -> str:
+    """What `format_perm` puts between the entries of a length-n perm."""
+    return "" if n <= 9 else ","
+
+
 def format_perm(pi: Sequence[int]) -> str:
-    if len(pi) <= 9:
-        return "".join(str(x) for x in pi)
-    return ",".join(str(x) for x in pi)
+    return perm_sep(len(pi)).join(map(str, pi))
 
 
 def parse_perm(text: str) -> Perm:

@@ -646,6 +646,14 @@ class TestRobustness:
         assert err == ("error: --word must be a JSON list of 2 lists of 2 "
                        "integers for EN:2x2\n")
 
+    @pytest.mark.parametrize("word", ["notjson", "[[1, 2], [3, 4]", ""])
+    def test_tableau_word_that_is_not_json(self, run, word):
+        code, out, err = run("bijection", "--poset", "EN:2x2",
+                             "--kind", "tableau", "--word", word)
+        assert (code, out) == (1, "")
+        assert err == ("error: --word must be a JSON list of 2 lists of 2 "
+                       "integers for EN:2x2\n")
+
     @given(cli_argvs())
     @settings(max_examples=400, deadline=None)
     def test_never_a_traceback(self, argv):

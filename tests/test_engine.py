@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexcount.engine import (avoiders, count_avoiders, count_extensions,
-                             insert_213, is_extension, linear_extensions,
-                             list_avoiders)
+                             format_avoiders, insert_213, is_extension,
+                             linear_extensions, list_avoiders)
 from lexcount.formulas import fuss_catalan
-from lexcount.perms import contains
+from lexcount.perms import contains, format_perm
 from lexcount.qstats import stat_gf
 from lexcount.posets import (FAMILIES, GridPoset, build, empty_poset,
                              saw_poset, zip_poset)
@@ -198,6 +198,33 @@ class TestListAvoiders:
     def test_bad_pattern(self):
         with pytest.raises(ValueError, match="not a permutation"):
             list_avoiders(build("EN", 2, 2), [(1, 3)])
+
+
+class TestFormatAvoiders:
+    """format_avoiders (the lines of `list`, built in the walk) against
+    format_perm of every extension avoiders gives."""
+
+    @given(_posets, _patterns)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_enumeration(self, poset, patterns):
+        assert (list(format_avoiders(poset, patterns))
+                == [format_perm(p) for p in avoiders(poset, patterns)])
+
+    def test_empty_poset(self):
+        assert list(format_avoiders(empty_poset(), [])) == [""]
+
+    def test_dead_root(self):
+        assert list(format_avoiders(build("NE", 2, 3), [(1,)])) == []
+        assert list(format_avoiders(build("EN", 2, 2), [()])) == []
+
+    def test_root_with_one_completion(self):
+        # a chain has one extension, so the root's only edge leads to a
+        # state with one completion
+        assert list(format_avoiders(build("NE", 4, 1), [])) == ["4321"]
+        assert list(format_avoiders(build("NE", 11, 1), [])) == [
+            "11,10,9,8,7,6,5,4,3,2,1"]
+        assert list(list_avoiders(build("NE", 11, 1), [])) == [
+            tuple(range(11, 0, -1))]
 
 
 class TestFamilySymmetry:
