@@ -6,19 +6,18 @@ one forward DP over prefix length, the package's only order-ideal DP.  A
 prefix matters to its completions only through the order ideal it fills
 and its partial pattern matches, each matched value replaced by its rank
 among the values not yet placed; prefixes that agree on both are merged
-into one state.  `count_avoiders` keeps a count per state, `stat_gf` a
-q-polynomial, to sum q^inv or q^maj.  `list_avoiders` keeps each state's
-out-edges instead, drops the states from which no extension can be
-completed, and walks what is left in increasing label order, so it lists
-the avoiders lexicographically and never enters a dead branch.  The walk
-concatenates one label token per element: tuples (x,) give `Perm` tuples,
-and `format_avoiders` passes the labels as text with `format_perm`'s
-separator, so that `list` prints the lines the walk builds.  The pass
-that drops dead states also gives every state with exactly one
-completion the tokens of that completion, its tail; the walk emits
-prefix + label + tail at such a state instead of descending into it.
-`count_extensions` is `count_avoiders` without patterns: its states are
-then the order ideals alone, and it has no element limit.
+into one state.  The loop knows no weight; each caller says how one
+placement weighs: `count_avoiders` as a count, `stat_gf` as q^inv or q^maj.
+`list_avoiders` keeps each state's out-edges instead, drops the states
+from which no extension can be completed, and walks what is left in
+increasing label order, so it lists the avoiders lexicographically and
+never enters a dead branch.  The walk concatenates one label token per
+element: tuples (x,) give `Perm` tuples, and `format_avoiders` passes the
+labels as text with `format_perm`'s separator, so that `list` prints the
+lines the walk builds.  The pass that drops dead states also gives every
+state with exactly one completion the tokens of that completion, its
+tail; the walk emits prefix + label + tail at such a state instead of
+descending into it.
 
 `avoiders` is the independent reference the DP is tested against: a
 backtracking generator that tries the available elements in increasing
@@ -115,18 +114,29 @@ def _walk_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]],
     + labels[xn - 1], in lexicographic order: tuples for labels (x,) and
     sep (), text for labels str(x).
 
-    A backward pass over the DP's state graph keeps only the edges into
-    states from which some extension can be completed; every state of the
-    last layer can, and a state of an earlier layer can iff it keeps an
-    edge.  The same pass gives each state with exactly one completion its
-    tail, sep + label + sep + ... + label of that completion (empty in the
-    last layer), and the edge into such a state carries the tail in place
-    of the state, so the walk emits prefix + label + tail there instead of
-    descending.  Dead states are freed on return.
+    The DP weighs each state by its out-edge list [(x, child's list)], x
+    increasing, and layers[k] holds the lists of layer k.  A backward pass
+    keeps only the edges into states from which some extension can be
+    completed; every state of the last layer can, and a state of an
+    earlier layer can iff it keeps an edge.  The same pass gives each
+    state with exactly one completion its tail, sep + label + sep + ... +
+    label of that completion (empty in the last layer), and the edge into
+    such a state carries the tail in place of the state, so the walk emits
+    prefix + label + tail there instead of descending.  Dead states are
+    freed on return.
     """
-    layers = _avoider_dp(poset, patterns, "list", 0)
+    root: list = []
+    layers = [[root]] + [[] for _ in range(poset.n)]
+
+    def edge(nxt, state, edges, mask, x, r, k):
+        child = nxt.get(state)
+        if child is None:
+            child = nxt[state] = []
+            layers[k + 1].append(child)
+        edges.append((x, child))
+
     empty = sep[:0]
-    if not layers[0]:
+    if not _avoider_dp(poset, patterns, root, edge):
         return iter(())
     if poset.n == 0:
         return iter([empty])
@@ -138,7 +148,7 @@ def _walk_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]],
             if len(edges) == 1 and type(edges[0][1]) is not list:
                 x, tail = edges[0]
                 tails[id(edges)] = sep + labels[x] + tail
-    return _walk(layers[0][0], labels, sep)
+    return _walk(root, labels, sep)
 
 
 def _walk(root: list, labels: list, sep) -> Iterator:
@@ -162,7 +172,9 @@ def _walk(root: list, labels: list, sep) -> Iterator:
 
 def count_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> int:
     """Number of linear extensions avoiding every pattern."""
-    return _avoider_dp(poset, patterns, None, 0)
+    def add(nxt, state, ways, mask, x, r, k):
+        nxt[state] = nxt.get(state, 0) + ways
+    return sum(_avoider_dp(poset, patterns, 1, add).values())
 
 
 def count_extensions(poset: GridPoset) -> int:
@@ -170,7 +182,7 @@ def count_extensions(poset: GridPoset) -> int:
     whose states are then the order ideals alone.  An s x t grid has at
     most C(s+t, s) of them, and extra precedence pairs only remove some,
     so there is no element limit.  Raises ValueError on a cycle."""
-    return _avoider_dp(poset, (), None, 0)
+    return count_avoiders(poset, ())
 
 
 def stat_gf(poset: GridPoset, patterns: Iterable[Sequence[int]],
@@ -184,10 +196,24 @@ def stat_gf(poset: GridPoset, patterns: Iterable[Sequence[int]],
     carries into the next: multiplying by q^e is a shift by e*w and adding
     polynomials is adding ints.
     """
-    if stat not in ("inv", "maj"):
-        raise KeyError(stat)
-    width = factorial(poset.n).bit_length()
-    packed = _avoider_dp(poset, patterns, stat, width)
+    def inv(nxt, state, ways, mask, x, r, k):
+        # placing x adds the number of placed values above x
+        ways <<= width * (mask >> x).bit_count()
+        nxt[state] = nxt.get(state, 0) + ways
+
+    def maj(nxt, state, ways, mask, x, r, k):
+        # placing x adds k if x is below the last value placed, that is if r
+        # is below that value's rank, which the key keeps above bit n
+        if r < mask >> n:
+            ways <<= width * k
+        state = (state[0] & full | r << n, state[1])
+        nxt[state] = nxt.get(state, 0) + ways
+
+    edge = {"inv": inv, "maj": maj}[stat]
+    n = poset.n
+    width = factorial(n).bit_length()
+    full = (1 << n) - 1
+    packed = sum(_avoider_dp(poset, patterns, 1, edge).values())
     low = (1 << width) - 1
     out = []
     while packed:
@@ -197,32 +223,27 @@ def stat_gf(poset: GridPoset, patterns: Iterable[Sequence[int]],
 
 
 def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
-                stat: Optional[str], width: int) -> int | list[list[list]]:
-    """Total weight of the pattern-avoiding extensions: their number if
-    stat is None, else the sum of q^stat packed as in `stat_gf`.  If stat
-    is "list", the state graph instead: layers[k] holds the out-edge list
-    [(x, child's out-edge list)] of every state of layer k, one edge per
-    placeable element x + 1, x increasing.
+                root, edge) -> dict:
+    """The last layer of the avoider DP, a map from state to weight.
 
-    Layer k maps each state reachable by a k-element prefix to the total
-    weight of such prefixes.  A state is (mask of placed elements, frozenset
-    of partial matches (pattern index, gaps)), where gaps[q] is the number
-    of unplaced values below the value matched to sigma[q]; the empty match
-    of every pattern is always there.  Placing a value with r unplaced
-    values below it lies above exactly the matched values with gap <= r,
-    so the gaps decide every comparison with future values.  Placing x adds
-    to inv the number of placed values above x, which the mask knows.  It
-    adds k to maj if x is below the last placed value, that is if r is
-    below that value's own count of unplaced values below it; for maj the
-    mask holds that count in the bits above n.
+    Layer k maps each state reachable by a k-element prefix to a weight,
+    layer 0 its one state to root (none if a pattern is empty).  Placing
+    x + 1, of rank r among the unplaced values, at a state of layer k with
+    weight ways calls edge(nxt, (mask | 1 << x, matches after), ways, mask,
+    x, r, k) to add its weight to layer k + 1, nxt, under that key or one
+    of the edge's own, which may use the mask bits above n.  A state is
+    (mask of placed elements, frozenset of partial matches (pattern index,
+    gaps)), where gaps[q] is the number of unplaced values below the value
+    matched to sigma[q]; the empty match of every pattern is always there.
+    Placing a value with r unplaced values below it lies above exactly the
+    matched values with gap <= r, so the gaps decide every comparison with
+    future values.
     """
     pats = sorted({perm(p) for p in patterns})
-    listing = stat == "list"
     layer: dict = {}
     if () not in pats:  # the empty pattern is contained in everything
         poset._closure  # noqa: B018 -- topological sort; raises on a cycle
-        root = frozenset((i, ()) for i in range(len(pats)))
-        layer[0, root] = [] if listing else 1
+        layer[0, frozenset((i, ()) for i in range(len(pats)))] = root
     n = poset.n
     pred_masks = [sum(1 << (a - 1) for a in preds)
                   for preds in poset.direct_preds]
@@ -257,10 +278,7 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
                 new.add(grown)
         return frozenset(new)
 
-    layers = []
     for k in range(n):
-        if listing:
-            layers.append(list(layer.values()))
         nxt: dict = {}
         for (mask, matches), ways in layer.items():
             free = full & ~mask
@@ -270,28 +288,10 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
                     continue
                 r = (free & (bit - 1)).bit_count()
                 after = advance(matches, r)
-                if after is None:
-                    continue
-                if stat is None:
-                    state, w = (mask | bit, after), ways
-                elif listing:  # ways is this state's out-edge list
-                    state = (mask | bit, after)
-                    child = nxt.get(state)
-                    if child is None:
-                        child = nxt[state] = []
-                    ways.append((x, child))
-                    continue
-                elif stat == "inv":
-                    state = (mask | bit, after)
-                    w = ways << width * (mask >> x).bit_count()
-                else:
-                    state = ((mask & full) | bit | r << n, after)
-                    w = ways << width * k if r < mask >> n else ways
-                nxt[state] = nxt.get(state, 0) + w
+                if after is not None:
+                    edge(nxt, (mask | bit, after), ways, mask, x, r, k)
         layer = nxt
-    if listing:
-        return layers + [list(layer.values())]
-    return sum(layer.values())
+    return layer
 
 
 # ---------------------------------------------------------------------------

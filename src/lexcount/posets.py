@@ -257,8 +257,8 @@ def parse_poset_spec(text: str) -> GridPoset:
     if not m:
         raise ValueError(f"bad poset spec {text!r}; expected FAMILY:SxT[+saw|+zip]")
     family, s, t, suffix = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
-    if suffix:
-        if family != "EN":
-            raise ValueError(f"{suffix[1:]} augmentation is defined on EN only")
-        return saw_poset(s, t) if suffix == "+saw" else zip_poset(s, t)
-    return build(family, s, t)
+    if suffix and family != "EN":
+        raise ValueError(f"{suffix[1:]} augmentation is defined on EN only")
+    if not suffix or s == 0 or t == 0:
+        return build(family, s, t)  # which refuses a zero dimension
+    return saw_poset(s, t) if suffix == "+saw" else zip_poset(s, t)

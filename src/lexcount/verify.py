@@ -95,7 +95,8 @@ def check_rc_closure(max_n: int = 9) -> CheckResult:
     return _compare("reverse-complement count invariance", (
         (f"{family}:{s}x{t} {sigma}",
          count_avoiders(build(family, s, t), [sigma]),
-         count_avoiders(build(family, s, t), [reverse_complement(sigma)]))
+         sum(1 for _ in avoiders(build(family, s, t),
+                                 [reverse_complement(sigma)])))
         for family in ("EN", "NE") for sigma in permutations(range(1, 5))
         for s in range(1, 4) for t in range(1, 4) if s * t <= max_n))
 
@@ -115,9 +116,9 @@ def check_saw_zip_posets(max_n: int = 12) -> CheckResult:
     return _compare("sawblade/zipper posets vs avoider sets", (
         row for s, t in _shapes(max_n) for row in (
             (f"saw {s}x{t}", count_extensions(saw_poset(s, t)),
-             count_avoiders(build("EN", s, t), [(1, 2, 4, 3)])),
+             sum(1 for _ in avoiders(build("EN", s, t), [(1, 2, 4, 3)]))),
             (f"zip {s}x{t}", count_extensions(zip_poset(s, t)),
-             count_avoiders(build("EN", s, t), [(2, 1, 4, 3)])))))
+             sum(1 for _ in avoiders(build("EN", s, t), [(2, 1, 4, 3)]))))))
 
 
 def check_b_matrix(max_n: int = 8, oracle_n: int = 6) -> CheckResult:
@@ -180,7 +181,6 @@ def check_char_poly() -> CheckResult:
 def check_bijections(max_n: int = 12) -> CheckResult:
     """Each encoding sends the extensions it encodes to valid objects that
     decode back, and its image is every object of the shape."""
-    from .engine import avoiders
     kinds = (("tableau", (), paths.ext_to_tableau,
               lambda T, s, t: paths.is_standard_tableau(T),
               lambda T, s, t: paths.tableau_to_ext(T),

@@ -98,6 +98,14 @@ class TestCount:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["count"], ["list"], ["qpoly"], ["bijection", "--kind", "fcpath",
+                                         "--perm", ""]])
+    def test_zero_dimension_augmented_poset(self, run, argv):
+        code, out, err = run(argv[0], "--poset", "EN:0x3+saw", *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "error: dimensions must be positive, got s=0, t=3\n"
+
     def test_bad_pattern(self, run):
         code, _, err = run("count", "--poset", "EN:2x2", "--avoid", "122")
         assert code == 1

@@ -7,10 +7,10 @@ from lexcount.engine import (avoiders, count_avoiders, count_extensions,
                              format_avoiders, insert_213, is_extension,
                              linear_extensions, list_avoiders)
 from lexcount.formulas import fuss_catalan
-from lexcount.perms import contains, format_perm
+from lexcount.perms import contains, format_perm, inv, maj
 from lexcount.qstats import stat_gf
 from lexcount.posets import (FAMILIES, GridPoset, build, empty_poset,
-                             saw_poset, zip_poset)
+                             parse_poset_spec, saw_poset, zip_poset)
 from lexcount.transfer import count_2143
 
 
@@ -225,6 +225,30 @@ class TestFormatAvoiders:
             "11,10,9,8,7,6,5,4,3,2,1"]
         assert list(list_avoiders(build("NE", 11, 1), [])) == [
             tuple(range(11, 0, -1))]
+
+
+class TestPastTheProperties:
+    """Every weight of the DP against backtracking on 13 to 16 elements,
+    beyond the 12 the properties above draw: counts, both polynomials as
+    a whole (maj's key must tell apart prefixes whose last values differ)
+    and the walk's tuples and text."""
+
+    @pytest.mark.parametrize("spec, patterns", [
+        ("NE:4x4", [(1, 2, 3)]), ("EN:5x3+saw", []), ("EN:4x4+zip", []),
+        ("WS:5x3", [(4, 2, 3, 1)]),
+        ("EN:4x4", [(1, 3, 2, 4), (2, 4, 1, 3)])])
+    def test_matches_enumeration(self, spec, patterns):
+        poset = parse_poset_spec(spec)
+        exts = list(avoiders(poset, patterns))
+        assert count_avoiders(poset, patterns) == len(exts)
+        for stat, f in (("inv", inv), ("maj", maj)):
+            want = [0] * (max(map(f, exts)) + 1)
+            for pi in exts:
+                want[f(pi)] += 1
+            assert stat_gf(poset, patterns, stat) == tuple(want), stat
+        assert list(list_avoiders(poset, patterns)) == exts
+        assert (list(format_avoiders(poset, patterns))
+                == [format_perm(pi) for pi in exts])
 
 
 class TestFamilySymmetry:

@@ -132,7 +132,8 @@ class TestSpecParsing:
         assert p.spec_string() == text
 
     @pytest.mark.parametrize("text", [
-        "EN4x3", "EN:4x", "QQ:2x2", "NE:2x2+saw", "EN:2x2+zap", ""])
+        "EN4x3", "EN:4x", "QQ:2x2", "NE:2x2+saw", "EN:2x2+zap", "",
+        "EN:0x3+saw"])
     def test_bad_specs(self, text):
         with pytest.raises(ValueError):
             parse_poset_spec(text)
