@@ -372,13 +372,18 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert "invalid choice: 'csv'" in err
 
-    @pytest.mark.parametrize("suite, want_code", [("theorems", 0),
-                                                  ("conjectures", 2)])
-    def test_fast_report_is_golden(self, run, suite, want_code):
+    @pytest.mark.parametrize("suite, want_code, flags", [
+        ("theorems", 0, ("--fast",)), ("conjectures", 2, ("--fast",)),
+        ("theorems", 0, ()), ("conjectures", 2, ())],
+        ids=["theorems-0", "conjectures-2", "theorems-full",
+             "conjectures-full"])
+    def test_fast_report_is_golden(self, run, suite, want_code, flags):
         """The whole plain report, instance counts and failure details
-        included, so that a change to any check's loop shows here."""
-        code, out, _ = run("verify", "--suite", suite, "--fast")
-        golden = Path(__file__).parent / "golden" / f"verify_{suite}_fast.txt"
+        included, so that a change to any check's loop shows here; with
+        --fast and at each check's default sizes."""
+        code, out, _ = run("verify", "--suite", suite, *flags)
+        name = f"verify_{suite}{'_fast' if flags else ''}.txt"
+        golden = Path(__file__).parent / "golden" / name
         assert (code, out) == (want_code, golden.read_text().rstrip("\n"))
 
 
