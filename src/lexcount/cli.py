@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of the "
                                         "transfer matrix")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_positive_int, required=True)
     common(p, poset=False, force=False)
     p.set_defaults(func=cmd_charpoly, cacheable=False)
 

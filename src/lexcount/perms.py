@@ -148,8 +148,7 @@ def parse_perm(text: str) -> Perm:
     text = text.strip()
     if not text:
         return ()
-    if "," in text:
-        return perm(int(tok) for tok in text.split(","))
-    if not text.isdigit():
+    tokens = text.split(",") if "," in text else text
+    if not all(tok.strip().isdecimal() for tok in tokens):
         raise ValueError(f"cannot parse permutation: {text!r}")
-    return perm(int(ch) for ch in text)
+    return perm(int(tok) for tok in tokens)

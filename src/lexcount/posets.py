@@ -37,7 +37,19 @@ _DUAL = {"WS", "ES", "SW", "SE"}
 _NE_BASED = {"NE", "NW", "SW", "SE"}
 
 
-class GridPoset:
+class _GridFields(NamedTuple):
+    family: str
+    s: int
+    t: int
+    grid_s: int
+    grid_t: int
+    coords: tuple[tuple[int, int], ...]
+    extra_before: frozenset[tuple[int, int]] = frozenset()
+    dualized: bool = False
+    tag: str = ""
+
+
+class GridPoset(_GridFields):
     """A labeled grid order, possibly with extra precedence constraints.
 
     ``coords[x - 1]`` is the (tooth, spine) pair of element x relative to
@@ -45,52 +57,15 @@ class GridPoset:
     ``extra_before`` holds pairs (a, b): a must precede b beyond the grid
     order.  ``dualized`` means the grid order is reversed.
 
-    An immutable value compared and hashed by its fields.  It is a plain
-    class, not a dataclass, because ``dataclasses`` (with the ``inspect``
-    it imports) would add about a third to every CLI start-up.
+    An immutable value compared and hashed by its fields, which it keeps
+    in a ``NamedTuple`` base.  Not a dataclass: ``dataclasses`` (with the
+    ``inspect`` it imports) would add about a third to every CLI start-up
+    (the start-up diet in CHANGES.md).  The subclass keeps a
+    ``__dict__``, where ``cached_property`` stores the derived tables.
     """
-
-    _FIELDS = ("family", "s", "t", "grid_s", "grid_t", "coords",
-               "extra_before", "dualized", "tag")
-
-    family: str
-    s: int
-    t: int
-    grid_s: int
-    grid_t: int
-    coords: tuple[tuple[int, int], ...]
-    extra_before: frozenset[tuple[int, int]]
-    dualized: bool
-    tag: str
-
-    def __init__(self, *, family: str, s: int, t: int, grid_s: int,
-                 grid_t: int, coords: tuple[tuple[int, int], ...],
-                 extra_before: frozenset[tuple[int, int]] = frozenset(),
-                 dualized: bool = False, tag: str = "") -> None:
-        # straight into __dict__, as cached_property does: __setattr__ refuses
-        self.__dict__.update(family=family, s=s, t=t, grid_s=grid_s,
-                             grid_t=grid_t, coords=coords,
-                             extra_before=extra_before, dualized=dualized,
-                             tag=tag)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"GridPoset is immutable; cannot set {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(self.__dict__[f] for f in self._FIELDS)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}"
-                           for f, v in zip(self._FIELDS, self._key()))
-        return f"GridPoset({fields})"
 
     @property
     def n(self) -> int:
@@ -203,8 +178,7 @@ def saw_poset(s: int, t: int) -> GridPoset:
     if t == 1:
         return base
     extra = frozenset(((j + 1) * t, (j - 1) * t + 2) for j in range(1, s))
-    return GridPoset(family="EN", s=s, t=t, grid_s=s, grid_t=t,
-                     coords=base.coords, extra_before=extra, tag="saw")
+    return base._replace(extra_before=extra, tag="saw")
 
 
 def zip_poset(s: int, t: int) -> GridPoset:
@@ -217,8 +191,7 @@ def zip_poset(s: int, t: int) -> GridPoset:
     if t == 1:
         return base
     extra = frozenset((j * t, (j - 3) * t + 1) for j in range(3, s + 1))
-    return GridPoset(family="EN", s=s, t=t, grid_s=s, grid_t=t,
-                     coords=base.coords, extra_before=extra, tag="zip")
+    return base._replace(extra_before=extra, tag="zip")
 
 
 def empty_poset() -> GridPoset:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import formulas, gentree, paths, qstats, transfer
 from .engine import avoiders, count_avoiders, count_extensions
-from .perms import reverse_complement
+from .perms import Perm, reverse_complement
 from .polys import QPoly, degree, format_q, is_unimodal, poly
 from .posets import build, canonicalize, saw_poset, zip_poset
 
@@ -55,8 +55,8 @@ def _span(gf: QPoly) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # theorem suite
 
-def _shapes(max_n: int, min_s: int = 1, min_t: int = 1) -> Iterable[tuple[int, int]]:
-    for s in range(min_s, max_n + 1):
+def _shapes(max_n: int, min_t: int = 1) -> Iterable[tuple[int, int]]:
+    for s in range(1, max_n + 1):
         for t in range(min_t, max_n // s + 1):
             yield s, t
 
@@ -274,33 +274,34 @@ def theorem_checks(fast: bool = False) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # conjecture suite
 
-def conj_2143_t2(max_s: int = 6) -> CheckResult:
+def _column(name: str, label: str, shape: Callable[[int], tuple[int, int]],
+            sigma: Perm, rhs: Callable[[int], QPoly],
+            max_k: int) -> CheckResult:
+    """The inversion polynomial of the sigma-avoiding extensions of
+    EN:shape(k) against rhs(k), for 1 <= k <= max_k."""
     rows = []
-    for s in range(1, max_s + 1):
-        got = qstats.stat_gf(build("EN", s, 2), [(2, 1, 4, 3)], "inv")
-        rows.append((f"s={s}: {format_q(got)}", got,
-                     qstats.conj_2143_t2_rhs(s)))
-    return _compare("two-column 2143 inversion polynomial", rows,
-                    conjecture=True)
+    for k in range(1, max_k + 1):
+        got = qstats.stat_gf(build("EN", *shape(k)), [sigma], "inv")
+        rows.append((f"{label}={k}: {format_q(got)}", got, rhs(k)))
+    return _compare(name, rows, conjecture=True)
+
+
+def conj_2143_t2(max_s: int = 6) -> CheckResult:
+    return _column("two-column 2143 inversion polynomial", "s",
+                   lambda s: (s, 2), (2, 1, 4, 3), qstats.conj_2143_t2_rhs,
+                   max_s)
 
 
 def conj_2143_t3(max_s: int = 5) -> CheckResult:
-    rows = []
-    for s in range(1, max_s + 1):
-        got = qstats.stat_gf(build("EN", s, 3), [(2, 1, 4, 3)], "inv")
-        rows.append((f"s={s}: {format_q(got)}", got,
-                     qstats.conj_2143_t3_rhs(s)))
-    return _compare("three-column 2143 inversion polynomial", rows,
-                    conjecture=True)
+    return _column("three-column 2143 inversion polynomial", "s",
+                   lambda s: (s, 3), (2, 1, 4, 3), qstats.conj_2143_t3_rhs,
+                   max_s)
 
 
 def conj_1243_rows3(max_t: int = 3) -> CheckResult:
-    rows = []
-    for t in range(1, max_t + 1):
-        got = qstats.stat_gf(build("EN", 3, 2 * t - 1), [(1, 2, 4, 3)], "inv")
-        rows.append((f"t={t}: {format_q(got)}", got, qstats.conj_1243_rhs(t)))
-    return _compare("three-row odd-column 1243 inversion polynomial", rows,
-                    conjecture=True)
+    return _column("three-row odd-column 1243 inversion polynomial", "t",
+                   lambda t: (3, 2 * t - 1), (1, 2, 4, 3),
+                   qstats.conj_1243_rhs, max_t)
 
 
 def conj_F_coefficients(max_s: int = 10) -> list[CheckResult]:
@@ -320,11 +321,9 @@ def conj_F_coefficients(max_s: int = 10) -> list[CheckResult]:
         ("F coefficients unimodal",
          lambda s: is_unimodal(qstats.F_poly(s))),
     ]
-    out = []
-    for name, pred in claims:
-        failures = [f"s={s}" for s in range(2, max_s + 1) if not pred(s)]
-        out.append(_check(name, failures, max_s - 1, conjecture=True))
-    return out
+    return [_compare(name, ((f"s={s}", pred(s), True)
+                            for s in range(2, max_s + 1)), conjecture=True)
+            for name, pred in claims]
 
 
 def conj_maj_identities(max_size: int = 6) -> CheckResult:

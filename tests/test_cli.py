@@ -344,6 +344,13 @@ class TestCharpoly:
         assert out.splitlines() == ["power,coefficient", "0,1", "1,-4",
                                     "2,-1"]
 
+    @pytest.mark.parametrize("t", ["0", "-3"])
+    def test_t_below_one_names_the_option(self, run, t):
+        code, out, err = run("charpoly", "--t", t)
+        assert (code, out) == (1, "")
+        assert err == ("lexcount charpoly: error: argument --t: must be at "
+                       f"least 1, got {t}\n")
+
 
 class TestVerify:
     def test_theorems_fast(self, run):
@@ -658,6 +665,12 @@ class TestRobustness:
         assert (code, out) == (1, "")
         assert err == ("error: --word must be a JSON list of 2 lists of 2 "
                        "integers for EN:2x2\n")
+
+    @pytest.mark.parametrize("pattern", ["1,2,x", "1,,2"])
+    def test_comma_pattern_that_is_not_a_permutation(self, run, pattern):
+        code, out, err = run("count", "--poset", "EN:3x3", "--avoid", pattern)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse permutation: '{pattern}'\n"
 
     @pytest.mark.parametrize("word", ["notjson", "[[1, 2], [3, 4]", ""])
     def test_tableau_word_that_is_not_json(self, run, word):

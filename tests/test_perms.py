@@ -132,6 +132,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_perm("1233")
 
+    @pytest.mark.parametrize("text", ["1,2,x", "1,,2", "12,", "1,2.5,3"])
+    def test_parse_names_the_text_in_comma_form(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_perm(text)
+        assert str(info.value) == f"cannot parse permutation: {text!r}"
+
     @given(random_perms(15))
     def test_roundtrip(self, pi):
         assert parse_perm(format_perm(pi)) == pi

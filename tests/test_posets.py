@@ -172,6 +172,30 @@ class TestRecords:
         p = build("EN", 2, 2)
         with pytest.raises(AttributeError):
             p.s = 3
+        with pytest.raises(AttributeError):
+            p.anything = 1
+        with pytest.raises(AttributeError):
+            del p.s
+        assert p.s == 2 and p == build("EN", 2, 2)
+        assert hash(p) == hash(build("EN", 2, 2))
+
+    @pytest.mark.parametrize("make, s, t, extra, tag", [
+        (saw_poset, 3, 4, {(8, 2), (12, 6)}, "saw"),
+        (zip_poset, 4, 3, {(9, 1), (12, 4)}, "zip")])
+    def test_augmented_posets_are_fresh_records(self, make, s, t, extra,
+                                                tag):
+        base = build("EN", s, t)
+        base.direct_preds  # a cached table on the base grid
+        p = make(s, t)
+        assert type(p) is GridPoset
+        by_field = GridPoset(family="EN", s=s, t=t, grid_s=s, grid_t=t,
+                             coords=base.coords,
+                             extra_before=frozenset(extra), tag=tag)
+        assert p == by_field and hash(p) == hash(by_field)
+        assert "direct_preds" not in base._replace(tag=tag).__dict__
+        for a, b in extra:
+            assert a in p.direct_preds[b - 1]
+            assert a not in base.direct_preds[b - 1]
 
     def test_repr_names_the_class(self):
         text = repr(saw_poset(2, 2))
