@@ -5,9 +5,13 @@ Enumerate and count (pattern-avoiding) linear extensions.
 one forward DP over prefix length, the package's only order-ideal DP.  A
 prefix matters to its completions only through the order ideal it fills
 and its partial pattern matches, each matched value replaced by its rank
-among the values not yet placed; prefixes that agree on both are merged
-into one state.  The loop knows no weight; each caller says how one
-placement weighs: `count_avoiders` as a count, `stat_gf` as q^inv or q^maj.
+among the values not yet placed.  Of the matches of one pattern and
+length, a state keeps only those that no other one dominates: a match is
+dominated when every value that would extend or complete it also extends
+or completes the other one, so it never decides whether a prefix dies.
+Prefixes that agree on the ideal and on these matches are merged into one
+state.  The loop knows no weight; each caller says how one placement
+weighs: `count_avoiders` as a count, `stat_gf` as q^inv or q^maj.
 `list_avoiders` keeps each state's out-edges instead, drops the states
 from which no extension can be completed, and walks what is left in
 increasing label order, so it lists the avoiders lexicographically and
@@ -28,9 +32,8 @@ element.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .perms import Perm, contains, ending_matcher, perm, perm_sep
 from .polys import QPoly
@@ -222,6 +225,23 @@ def stat_gf(poset: GridPoset, patterns: Iterable[Sequence[int]],
     return tuple(out)
 
 
+def _slot_plan(sig: Perm, L: int) -> tuple:
+    """What decides the future of a match of sig[:L]: the positions in
+    sig[:L] of the lower and upper neighbours of sig[L] (-1 for none); for
+    each position, whether it bounds the slot of some entry sig[j], j >= L;
+    and the positions that bound slots from both sides, from below only
+    and from above only."""
+    slots = [(max((q for q in range(L) if sig[q] < v),
+                  key=sig.__getitem__, default=-1),
+              min((q for q in range(L) if sig[q] > v),
+                  key=sig.__getitem__, default=-1))
+             for v in sig[L:]]
+    lows = {lo for lo, _ in slots} - {-1}
+    highs = {hi for _, hi in slots} - {-1}
+    return (slots[0], tuple(q in lows | highs for q in range(L)),
+            sorted(lows & highs), sorted(lows - highs), sorted(highs - lows))
+
+
 def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
                 root, edge) -> dict:
     """The last layer of the avoider DP, a map from state to weight.
@@ -231,65 +251,142 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     x + 1, of rank r among the unplaced values, at a state of layer k with
     weight ways calls edge(nxt, (mask | 1 << x, matches after), ways, mask,
     x, r, k) to add its weight to layer k + 1, nxt, under that key or one
-    of the edge's own, which may use the mask bits above n.  A state is
-    (mask of placed elements, frozenset of partial matches (pattern index,
-    gaps)), where gaps[q] is the number of unplaced values below the value
-    matched to sigma[q]; the empty match of every pattern is always there.
-    Placing a value with r unplaced values below it lies above exactly the
-    matched values with gap <= r, so the gaps decide every comparison with
-    future values.
+    of the edge's own, which may use the mask bits above n.
+
+    A state is (mask of placed elements, id of a set of partial matches).
+    A match (i, gaps) of length L maps sigma_i[:L] into the prefix, and
+    gaps[q] is the number of unplaced values below the value matched to
+    sigma_i[q].  A value with r unplaced values below it lies above exactly
+    the matched values with gap <= r, so the gaps decide every comparison
+    with future values.  Each entry sigma_i[j], j >= L, must fall in the
+    slot between the matched values next to it in sigma_i[:L]: above the
+    one whose gap is the slot's lower bound, below the one whose gap is its
+    upper bound.  A gap that bounds no slot decides nothing any more and is
+    stored as 0.  Match A dominates match B of the same pattern and length
+    if each slot of A contains the same slot of B: A's lower bounds are <=
+    B's and its upper bounds >= B's.  Then every value that extends or
+    completes B does the same to A, and the matches that result keep the
+    relation, so B never decides whether a prefix dies.  A state keeps only
+    the matches no other match dominates, the empty match of every pattern
+    among them: prefixes with the same ideal and the same such matches
+    have the same completions, so dropping B changes no count or
+    polynomial, and more prefixes share a state.  Nor does it change the
+    order of `list`, whose walk takes the out-edges of every state in
+    increasing label order, whichever prefixes share the state.
+
+    Matches and sets of matches are interned as ints.  Each match keeps
+    what placing a value of rank r leaves of it, and each set the id of the
+    set it becomes, so one call of the DP takes each step once per rank.
     """
     pats = sorted({perm(p) for p in patterns})
-    layer: dict = {}
-    if () not in pats:  # the empty pattern is contained in everything
-        poset._closure  # noqa: B018 -- topological sort; raises on a cycle
-        layer[0, frozenset((i, ()) for i in range(len(pats)))] = root
     n = poset.n
     pred_masks = [sum(1 << (a - 1) for a in preds)
                   for preds in poset.direct_preds]
-    # above[i][k][q]: must the value matched to sigma_i[k] exceed sigma_i[q]?
-    above = [[tuple(sig[k] > sig[q] for q in range(k)) for k in range(len(sig))]
-             for sig in pats]
     full = (1 << n) - 1
+    plan = [[_slot_plan(sig, L) for L in range(len(sig))] for sig in pats]
 
-    @lru_cache(maxsize=None)
-    def step(match: tuple, r: int) -> tuple[tuple, Optional[tuple]]:
-        """Placing a value of rank r: the match with its gaps renumbered,
-        and the match extended by the value (None if the value does not
-        fit, () if it completes the pattern)."""
-        i, gaps = match
+    matches: dict = {}  # (i, gaps) -> id
+    info: list = []     # id -> (i, gaps)
+    moves: list = []    # id -> r -> ids the match leaves, () if it completes
+    # rank[id]: (group, coordinates).  The group is an int for (i, L, the
+    # gaps that bound slots from both sides, which must be equal); the
+    # coordinates are the lower bounds and the negated upper bounds, padded
+    # to two, so that A dominates B iff A's are <= B's one by one
+    rank: list = []
+    groups: dict = {}
+
+    def match(i: int, gaps: tuple) -> int:
+        mid = matches.get((i, gaps))
+        if mid is None:
+            mid = matches[i, gaps] = len(info)
+            info.append((i, gaps))
+            moves.append([None] * n)
+            _, _, both, low, high = plan[i][len(gaps)]
+            g = groups.setdefault((i, len(gaps), tuple(gaps[q] for q in both)),
+                                  len(groups))
+            coords = [gaps[q] for q in low] + [-gaps[q] for q in high]
+            rank.append((g, tuple(coords + [0] * (2 - len(coords)))))
+        return mid
+
+    def step(mid: int, r: int) -> tuple:
+        """Placing a value of rank r: the match with its gaps renumbered
+        and, if the value fits the next slot, the match extended by it;
+        () if the value completes the pattern."""
+        i, gaps = info[mid]
+        (lo, hi), *_ = plan[i][len(gaps)]
         shifted = tuple(g - (g > r) for g in gaps)
-        if any((g <= r) != a for g, a in zip(gaps, above[i][len(gaps)])):
-            return (i, shifted), None
+        kept = match(i, shifted)
+        if lo >= 0 and gaps[lo] > r or hi >= 0 and gaps[hi] <= r:
+            return (kept,)
         if len(gaps) + 1 == len(pats[i]):
-            return (i, shifted), ()
-        return (i, shifted), (i, shifted + (r,))
+            return ()
+        used = plan[i][len(gaps) + 1][1]
+        return kept, match(i, tuple(g if u else 0 for g, u
+                                    in zip(shifted + (r,), used)))
 
-    def advance(matches: frozenset, r: int) -> Optional[frozenset]:
-        """The partial matches after placing a value of rank r, or None if
-        the value completes a pattern."""
+    sets: dict = {}     # frozenset of match ids -> id
+    members: list = []  # id -> match ids
+    after: list = []    # id -> r -> id after placing a value of rank r, -1
+    #                     if the value completes a pattern
+
+    def reduced(new: set) -> int:
+        """The id of the set of the matches in new that no other one
+        dominates."""
+        keep = []
+        last = -1
+        # a match sorts after every match of its group that dominates it
+        for mid in sorted(new, key=rank.__getitem__):
+            g, c = rank[mid]
+            if g != last:
+                last, front = g, [c]
+            elif len(c) > 2:
+                if any(all(a <= b for a, b in zip(f, c)) for f in front):
+                    continue
+                front.append(c)
+            elif front[-1][1] <= c[1]:
+                continue  # front[-1] has the least second coordinate so far
+            else:
+                front.append(c)
+            keep.append(mid)
+        key = frozenset(keep)
+        sid = sets.get(key)
+        if sid is None:
+            sid = sets[key] = len(members)
+            members.append(keep)
+            after.append([None] * n)
+        return sid
+
+    def advance(sid: int, r: int) -> int:
         new = set()
-        for match in matches:
-            kept, grown = step(match, r)
-            new.add(kept)
-            if grown is not None:
-                if not grown:
-                    return None
-                new.add(grown)
-        return frozenset(new)
+        for mid in members[sid]:
+            row = moves[mid]
+            move = row[r]
+            if move is None:
+                move = row[r] = step(mid, r)
+            if not move:
+                return -1
+            new.update(move)
+        return reduced(new)
 
+    layer: dict = {}
+    if () not in pats:  # the empty pattern is contained in everything
+        poset._closure  # noqa: B018 -- topological sort; raises on a cycle
+        layer[0, reduced({match(i, ()) for i in range(len(pats))})] = root
     for k in range(n):
         nxt: dict = {}
-        for (mask, matches), ways in layer.items():
+        for (mask, sid), ways in layer.items():
             free = full & ~mask
+            row = after[sid]
             for x in range(n):
                 bit = 1 << x
                 if not free & bit or pred_masks[x] & ~mask:
                     continue
                 r = (free & (bit - 1)).bit_count()
-                after = advance(matches, r)
-                if after is not None:
-                    edge(nxt, (mask | bit, after), ways, mask, x, r, k)
+                nsid = row[r]
+                if nsid is None:
+                    nsid = row[r] = advance(sid, r)
+                if nsid >= 0:
+                    edge(nxt, (mask | bit, nsid), ways, mask, x, r, k)
         layer = nxt
     return layer
 

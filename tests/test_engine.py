@@ -3,9 +3,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexcount.engine import (avoiders, count_avoiders, count_extensions,
-                             format_avoiders, insert_213, is_extension,
-                             linear_extensions, list_avoiders)
+from lexcount.engine import (_avoider_dp, avoiders, count_avoiders,
+                             count_extensions, format_avoiders, insert_213,
+                             is_extension, linear_extensions, list_avoiders)
 from lexcount.formulas import fuss_catalan
 from lexcount.perms import contains, format_perm, inv, maj
 from lexcount.qstats import stat_gf
@@ -154,6 +154,25 @@ class TestAvoiderDP:
         # the published t = 5, s = 5 entry of the 2143 table
         assert count_avoiders(build("EN", 5, 5), [(2, 1, 4, 3)]) == 266110
 
+    def test_two_routes_past_the_other_tests(self):
+        # 24 and 30 elements, each against a second route
+        assert (count_avoiders(build("EN", 8, 3), [(1, 2, 4, 3)])
+                == fuss_catalan(8, 3) == 43263)
+        assert (count_avoiders(build("EN", 10, 3), [(2, 1, 4, 3)])
+                == count_2143(10, 3) == 514229)
+
+    def test_dominated_matches_are_dropped(self):
+        # NE:6x6 avoiding 123 takes 63,357 states over all layers if every
+        # partial match is kept; the non-dominated ones leave 3,676
+        states = set()
+
+        def edge(nxt, state, ways, mask, x, r, k):
+            states.add(state)
+            nxt[state] = ways
+
+        _avoider_dp(build("NE", 6, 6), [(1, 2, 3)], 1, edge)
+        assert len(states) < 10_000
+
 
 class TestListAvoiders:
     """list_avoiders (walk of the DP's state graph) against avoiders
@@ -227,28 +246,55 @@ class TestFormatAvoiders:
             tuple(range(11, 0, -1))]
 
 
+def assert_every_weight_agrees(poset, patterns):
+    """Every weight of the DP against backtracking: counts, both
+    polynomials as a whole (maj's key must tell apart prefixes whose last
+    values differ) and the walk's tuples and text."""
+    exts = list(avoiders(poset, patterns))
+    assert count_avoiders(poset, patterns) == len(exts)
+    for stat, f in (("inv", inv), ("maj", maj)):
+        want = [0] * (max(map(f, exts), default=-1) + 1)
+        for pi in exts:
+            want[f(pi)] += 1
+        assert stat_gf(poset, patterns, stat) == tuple(want), stat
+    assert list(list_avoiders(poset, patterns)) == exts
+    assert (list(format_avoiders(poset, patterns))
+            == [format_perm(pi) for pi in exts])
+
+
 class TestPastTheProperties:
     """Every weight of the DP against backtracking on 13 to 16 elements,
-    beyond the 12 the properties above draw: counts, both polynomials as
-    a whole (maj's key must tell apart prefixes whose last values differ)
-    and the walk's tuples and text."""
+    beyond the 12 the properties above draw."""
 
     @pytest.mark.parametrize("spec, patterns", [
         ("NE:4x4", [(1, 2, 3)]), ("EN:5x3+saw", []), ("EN:4x4+zip", []),
         ("WS:5x3", [(4, 2, 3, 1)]),
         ("EN:4x4", [(1, 3, 2, 4), (2, 4, 1, 3)])])
     def test_matches_enumeration(self, spec, patterns):
+        assert_every_weight_agrees(parse_poset_spec(spec), patterns)
+
+
+class TestLongerPatterns:
+    """Every weight of the DP against backtracking on patterns of length 5
+    and 6, past the 4 the properties draw.  From length 5 on, the matches
+    of one length can have three or more gaps that bound slots, so the
+    dominance reduction compares them pairwise (24 patterns of length 5,
+    both of length 6 here)."""
+
+    @pytest.mark.parametrize("spec", [
+        "EN:3x3", "NE:3x3", "SW:2x4", "WN:4x2", "ES:3x2", "EN:3x3+saw",
+        "EN:3x3+zip"])
+    def test_every_length_5_pattern(self, spec):
         poset = parse_poset_spec(spec)
-        exts = list(avoiders(poset, patterns))
-        assert count_avoiders(poset, patterns) == len(exts)
-        for stat, f in (("inv", inv), ("maj", maj)):
-            want = [0] * (max(map(f, exts)) + 1)
-            for pi in exts:
-                want[f(pi)] += 1
-            assert stat_gf(poset, patterns, stat) == tuple(want), stat
-        assert list(list_avoiders(poset, patterns)) == exts
-        assert (list(format_avoiders(poset, patterns))
-                == [format_perm(pi) for pi in exts])
+        for sigma in permutations(range(1, 6)):
+            assert_every_weight_agrees(poset, [sigma])
+
+    @pytest.mark.parametrize("spec", [
+        "EN:4x3", "NE:3x4", "SW:4x3", "EN:6x2", "EN:4x3+zip", "EN:3x4+saw"])
+    @pytest.mark.parametrize("sigma", [(1, 3, 4, 6, 2, 5),
+                                       (3, 1, 6, 4, 2, 5)])
+    def test_length_6_with_two_separated_slots(self, spec, sigma):
+        assert_every_weight_agrees(parse_poset_spec(spec), [sigma])
 
 
 class TestFamilySymmetry:
