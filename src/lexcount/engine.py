@@ -326,8 +326,9 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
 
     sets: dict = {}     # frozenset of match ids -> id
     members: list = []  # id -> match ids
-    after: list = []    # id -> r -> id after placing a value of rank r, -1
-    #                     if the value completes a pattern
+    # after[id][r]: the id of the set after placing a value of rank r, -1
+    # if the value completes a pattern
+    after: list = []
 
     def reduced(new: set) -> int:
         """The id of the set of the matches in new that no other one
