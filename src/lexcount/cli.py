@@ -225,28 +225,21 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         "suite": args.suite, "checks": [r._asdict() for r in results]})
 
 
-# hashlib is imported only on the cache path: loading OpenSSL would cost
-# every other command several milliseconds of start-up.
-
-def _source_digest() -> str:
-    """sha256 of the package's own .py sources, in file-name order."""
-    import hashlib
-    h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
 def _cache_key(args: argparse.Namespace) -> str:
-    """sha256 of the parsed arguments and of the package's sources, so
-    that flag order, defaults spelled out and the way the cache dir is
-    given do not matter, and an answer is not reused once the code that
-    produced it changes.  --avoid keeps its order and repeats, since json
-    output echoes them."""
+    """sha256 of the parsed arguments and of the package's own .py
+    sources (in file-name order), so that flag order, defaults spelled out
+    and the way the cache dir is given do not matter, and an answer is not
+    reused once the code that produced it changes.  --avoid keeps its
+    order and repeats, since json output echoes them.  hashlib is imported
+    only here: loading OpenSSL would cost every other command several
+    milliseconds of start-up."""
     import hashlib
+    source = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source.update(path.name.encode() + b"\0" + path.read_bytes())
     fields = {k: v for k, v in vars(args).items()
               if k not in ("cache_dir", "func", "cacheable")}
-    fields["source"] = _source_digest()
+    fields["source"] = source.hexdigest()
     return hashlib.sha256(
         json.dumps(fields, sort_keys=True).encode()).hexdigest()
 

@@ -1,16 +1,17 @@
 """
 Closed-form counts and the formula dispatcher.
 
-`count_formula` maps a canonical (family, s, t, patterns) problem to an
-exact count when a closed form is known, together with a provenance
-identifier naming the formula used.  Pattern sets are normalized under
-simultaneous reverse-complement first, which doubles the coverage for
-free.  Absence of a formula is an empty result, never an error.
+`CLOSED_FORMS` is the one table of the paper's closed forms.
+`count_formula` looks a canonical (family, s, t, patterns) problem up in
+it by the pattern set's reverse-complement closure, which doubles the
+coverage for free, and gives the count with a provenance identifier
+naming the formula.  Absence of a formula is an empty result, never an
+error.
 """
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .perms import Perm, rc_closure_key
 from .posets import CanonicalProblem
@@ -64,6 +65,8 @@ def hook_count(s: int, t: int) -> int:
 
 def count_2143_closed(s: int, t: int) -> int:
     """The t <= 4 closed forms for |EN_{s,t}(2143)|."""
+    if s < 1 or t < 1:
+        raise ValueError("need s >= 1 and t >= 1")
     if t == 1:
         return 1
     if t == 2:
@@ -88,15 +91,67 @@ class FormulaResult(NamedTuple):
     provenance: str
 
 
-_P213 = rc_closure_key([(2, 1, 3)])
-_P231 = rc_closure_key([(2, 3, 1)])
-_P321 = rc_closure_key([(3, 2, 1)])
-_P123 = rc_closure_key([(1, 2, 3)])
-_P312 = rc_closure_key([(3, 1, 2)])
-_P213_123 = rc_closure_key([(2, 1, 3), (1, 2, 3)])
-_P213_132 = rc_closure_key([(2, 1, 3), (1, 3, 2)])
-_P1243 = rc_closure_key([(1, 2, 4, 3)])
-_P2143 = rc_closure_key([(2, 1, 4, 3)])
+def _en_231(s: int, t: int) -> int:
+    return 1 if s == 1 or t == 1 else 0
+
+
+def _en_321(s: int, t: int) -> int:
+    if s == 1:
+        return 1
+    return catalan(t) if s == 2 else 0
+
+
+def _en_123(s: int, t: int) -> int:
+    if t == 1:
+        return 1
+    return catalan(s) if t == 2 else 0
+
+
+def _en_2143(s: int, t: int) -> Optional[int]:
+    return count_2143_closed(s, t) if t <= 4 else None
+
+
+def _ne_213_132(s: int, t: int) -> int:
+    return 1 if t == 1 else 2 ** (s - 1)
+
+
+def _ne_123(s: int, t: int) -> Optional[int]:
+    """Only the boundary shapes are known; s, t >= 3 is open."""
+    if min(s, t) == 1:
+        return 1
+    return catalan(max(s, t)) if min(s, t) == 2 else None
+
+
+class ClosedForm(NamedTuple):
+    """Where the paper states a form, and count(s, t), None on the shapes
+    it does not cover; a form stated per column t names each part."""
+    provenance: str
+    count: Callable[[int, int], Optional[int]]
+    parts: dict[int, str] = {}
+
+
+# Every closed form for a nonempty pattern set, keyed by the family and
+# the pattern set as the paper states them.
+CLOSED_FORMS: dict[tuple[str, tuple[Perm, ...]], ClosedForm] = {
+    ("EN", ((2, 1, 3),)): ClosedForm("Thm3.1", lambda s, t: 1),
+    ("EN", ((2, 3, 1),)): ClosedForm("Thm3.2", _en_231),
+    ("EN", ((3, 2, 1),)): ClosedForm("Thm3.3", _en_321),
+    ("EN", ((1, 2, 3),)): ClosedForm("Thm3.4", _en_123),
+    ("EN", ((1, 2, 4, 3),)): ClosedForm("Cor4.6", fuss_catalan),
+    ("EN", ((2, 1, 4, 3),)): ClosedForm(
+        "Thm5.9", _en_2143, {1: "i", 2: "ii", 3: "iii", 4: "iv"}),
+    ("NE", ((2, 1, 3),)): ClosedForm("Thm3.5", lambda s, t: t ** (s - 1)),
+    ("NE", ((2, 1, 3), (1, 2, 3))): ClosedForm(
+        "Cor3.6", lambda s, t: t ** (s - 1)),
+    ("NE", ((2, 1, 3), (1, 3, 2))): ClosedForm("Cor3.7", _ne_213_132),
+    ("NE", ((3, 1, 2),)): ClosedForm("Thm3.8", lambda s, t: 1),
+    ("NE", ((1, 2, 3),)): ClosedForm("Sec3-exercise", _ne_123),
+}
+
+# the table key of each row under its reverse-complement closure key;
+# count_formula reads the row itself from CLOSED_FORMS
+_ROW_KEY = {(family, rc_closure_key(patterns)): (family, patterns)
+            for family, patterns in CLOSED_FORMS}
 
 
 def count_formula(problem: CanonicalProblem) -> Optional[FormulaResult]:
@@ -105,56 +160,8 @@ def count_formula(problem: CanonicalProblem) -> Optional[FormulaResult]:
     key = rc_closure_key(problem.patterns)
     if not key:
         return FormulaResult(hook_count(s, t), "Prop2.2")
-    if problem.family == "EN":
-        return _en_formula(s, t, key)
-    return _ne_formula(s, t, key)
-
-
-def _en_formula(s: int, t: int, key: frozenset[Perm]) -> Optional[FormulaResult]:
-    if key == _P213:
-        return FormulaResult(1, "Thm3.1")
-    if key == _P231:
-        if s == 1 or t == 1:
-            return FormulaResult(1, "Thm3.2")
-        return FormulaResult(0, "Thm3.2")
-    if key == _P321:
-        if s == 1:
-            return FormulaResult(1, "Thm3.3")
-        if s == 2:
-            return FormulaResult(catalan(t), "Thm3.3")
-        return FormulaResult(0, "Thm3.3")
-    if key == _P123:
-        if t == 1:
-            return FormulaResult(1, "Thm3.4")
-        if t == 2:
-            return FormulaResult(catalan(s), "Thm3.4")
-        return FormulaResult(0, "Thm3.4")
-    if key == _P1243:
-        return FormulaResult(fuss_catalan(s, t), "Cor4.6")
-    if key == _P2143 and t <= 4:
-        roman = {1: "i", 2: "ii", 3: "iii", 4: "iv"}[t]
-        return FormulaResult(count_2143_closed(s, t), f"Thm5.9{roman}")
-    return None
-
-
-def _ne_formula(s: int, t: int, key: frozenset[Perm]) -> Optional[FormulaResult]:
-    if key == _P213:
-        return FormulaResult(t ** (s - 1), "Thm3.5")
-    if key == _P213_123:
-        return FormulaResult(t ** (s - 1), "Cor3.6")
-    if key == _P213_132:
-        if t == 1:
-            return FormulaResult(1, "Cor3.7")
-        return FormulaResult(2 ** (s - 1), "Cor3.7")
-    if key == _P312:
-        return FormulaResult(1, "Thm3.8")
-    if key == _P123:
-        # only the boundary cases are known; s, t >= 3 is open
-        if s == 1 or t == 1:
-            return FormulaResult(1, "Sec3-exercise")
-        if t == 2:
-            return FormulaResult(catalan(s), "Sec3-exercise")
-        if s == 2:
-            return FormulaResult(catalan(t), "Sec3-exercise")
+    form = CLOSED_FORMS.get(_ROW_KEY.get((problem.family, key)))
+    value = None if form is None else form.count(s, t)
+    if value is None:
         return None
-    return None
+    return FormulaResult(value, form.provenance + form.parts.get(t, ""))

@@ -46,12 +46,19 @@ def catalan_words(n: int) -> Iterator[tuple[int, ...]]:
     return rec(0, 0)
 
 
-def q_catalan_by_words(n: int) -> QPoly:
-    """C_n(q) summed directly over Catalan words by inversion count."""
+def _word_sum(n: int, stat: Callable[[tuple[int, ...]], int]) -> QPoly:
+    """q^stat(w) summed over the Catalan words w of length 2n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     out: QPoly = ()
     for w in catalan_words(n):
-        out = add(out, monomial(inv(w)))
+        out = add(out, monomial(stat(w)))
     return out
+
+
+def q_catalan_by_words(n: int) -> QPoly:
+    """C_n(q) summed directly over Catalan words by inversion count."""
+    return _word_sum(n, inv)
 
 
 @lru_cache(maxsize=None)
@@ -75,12 +82,7 @@ def q_catalan_tilde(n: int) -> QPoly:
 
 def maj_q_catalan(n: int) -> QPoly:
     """c_n(q): major index summed over Catalan words."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    out: QPoly = ()
-    for w in catalan_words(n):
-        out = add(out, monomial(maj(w)))
-    return out
+    return _word_sum(n, maj)
 
 
 def thm61_rhs(case: str, size: int) -> QPoly:

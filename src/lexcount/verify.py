@@ -62,15 +62,10 @@ def _shapes(max_n: int, min_t: int = 1) -> Iterable[tuple[int, int]]:
 
 
 def check_formulas_vs_oracle(max_n: int = 12) -> CheckResult:
-    """Every closed-form dispatcher case equals the brute-force count."""
-    cases = [("EN", p) for p in ({(2, 1, 3)}, {(2, 3, 1)}, {(3, 2, 1)},
-                                 {(1, 2, 3)}, {(1, 2, 4, 3)}, {(2, 1, 4, 3)},
-                                 set())]
-    cases += [("NE", p) for p in ({(2, 1, 3)}, {(2, 1, 3), (1, 2, 3)},
-                                  {(2, 1, 3), (1, 3, 2)}, {(3, 1, 2)},
-                                  {(1, 2, 3)})]
+    """Every row of the closed-form table, and the hook count, equals the
+    brute-force count."""
     rows = []
-    for family, pats in cases:
+    for family, pats in [*formulas.CLOSED_FORMS, ("EN", ())]:
         for s, t in _shapes(max_n):
             res = formulas.count_formula(canonicalize(family, s, t, pats))
             if res is not None:
@@ -122,30 +117,27 @@ def check_saw_zip_posets(max_n: int = 12) -> CheckResult:
 
 
 def check_b_matrix(max_n: int = 8, oracle_n: int = 6) -> CheckResult:
-    failures, n_inst = [], 0
-    for n in range(1, oracle_n + 1):
-        bm = transfer.b_matrix(n)
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                n_inst += 1
-                if bm[j - 1][k - 1] != paths.enumerate_jk(n, j, k):
-                    failures.append(f"b({j},{k};{n})")
+    """b(j,k;n) against path enumeration for n <= oracle_n, and its
+    identities for n <= max_n; one row per (n, j, k) in each."""
+    rows = [(f"b({j},{k};{n})", transfer.b_matrix(n)[j - 1][k - 1],
+             paths.enumerate_jk(n, j, k)) for n in range(1, oracle_n + 1)
+            for j in range(1, n + 1) for k in range(1, n + 1)]
     for n in range(1, max_n + 1):
         bm = transfer.b_matrix(n)
         bprev = transfer.b_matrix(n - 1) if n > 1 else ()
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                n_inst += 1
-                if bm[j - 1][k - 1] != bm[n - k][n - j]:
-                    failures.append(f"symmetry ({j},{k};{n})")
-                if k >= j and bm[j - 1][k - 1] != comb(n - k + j - 1, j - 1):
-                    failures.append(f"binomial ({j},{k};{n})")
+                b = bm[j - 1][k - 1]
+                identities = [("symmetry", b, bm[n - k][n - j])]
+                if k >= j:
+                    identities.append(
+                        ("binomial", b, comb(n - k + j - 1, j - 1)))
                 if j > 1 and 1 < k < n:
-                    lhs = bm[j - 1][k - 1]
-                    rhs = bm[j - 1][k] + bprev[j - 2][k - 2]
-                    if lhs != rhs:
-                        failures.append(f"second recurrence ({j},{k};{n})")
-    return _check("b-matrix identities", failures, n_inst)
+                    identities.append(("second recurrence", b,
+                                       bm[j - 1][k] + bprev[j - 2][k - 2]))
+                names, got, want = zip(*identities)
+                rows.append((f"{', '.join(names)} ({j},{k};{n})", got, want))
+    return _compare("b-matrix identities", rows)
 
 
 def check_count_2143(max_oracle: int = 16) -> CheckResult:

@@ -516,15 +516,22 @@ class TestCache:
         assert len(list(tmp_path.iterdir())) == 3
 
     def test_key_names_the_source(self, run, tmp_path, monkeypatch):
-        argv = ("--cache-dir", str(tmp_path), "qpoly", "--poset", "EN:3x3",
+        cache, src = tmp_path / "cache", tmp_path / "src"
+        argv = ("--cache-dir", str(cache), "qpoly", "--poset", "EN:3x3",
                 "--avoid", "1243", "--stat", "maj")
         first = run(*argv)
-        (entry,) = tmp_path.iterdir()
+        (entry,) = cache.iterdir()
         entry.write_text(json.dumps({"code": 0, "output": "stale"}))
         assert run(*argv) == (0, "stale", "")  # same source: a cache hit
-        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        # the key reads the sources beside cli.py; edit one module's copy
+        src.mkdir()
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            (src / path.name).write_bytes(path.read_bytes())
+        with open(src / "formulas.py", "a") as fh:
+            fh.write("# edited\n")
+        monkeypatch.setattr(cli, "__file__", str(src / "cli.py"))
         assert run(*argv) == first
-        (fresh,) = set(tmp_path.iterdir()) - {entry}
+        (fresh,) = set(cache.iterdir()) - {entry}
         assert json.loads(fresh.read_text())["output"] == first[1]
         fresh.write_text(json.dumps({"code": 0, "output": "stale"}))
         assert run(*argv) == (0, "stale", "")  # the new key is used again

@@ -1,11 +1,22 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexcount import verify
 from lexcount.engine import count_avoiders
-from lexcount.formulas import (catalan, count_2143_closed, count_formula,
-                               fibonacci, fuss_catalan, hook_count,
-                               inv_bounds_1243)
+from lexcount.formulas import (CLOSED_FORMS, catalan, count_2143_closed,
+                               count_formula, fibonacci, fuss_catalan,
+                               hook_count, inv_bounds_1243)
+from lexcount.perms import rc_closure_key
 from lexcount.posets import build, canonicalize
+
+# the closed forms of the paper, written out apart from the table
+CASES = [
+    ("EN", {(2, 1, 3)}), ("EN", {(2, 3, 1)}), ("EN", {(3, 2, 1)}),
+    ("EN", {(1, 2, 3)}), ("EN", {(1, 2, 4, 3)}), ("EN", {(2, 1, 4, 3)}),
+    ("NE", {(2, 1, 3)}), ("NE", {(2, 1, 3), (1, 2, 3)}),
+    ("NE", {(2, 1, 3), (1, 3, 2)}), ("NE", {(3, 1, 2)}),
+    ("NE", {(1, 2, 3)}),
+]
 
 
 class TestSequences:
@@ -84,13 +95,7 @@ class TestDispatcher:
         assert count_formula(canonicalize("NE", 3, 3, [(1, 2, 3)])) is None
         assert count_formula(canonicalize("EN", 3, 3, [(1, 3, 2, 4)])) is None
 
-    @pytest.mark.parametrize("family,pats", [
-        ("EN", {(2, 1, 3)}), ("EN", {(2, 3, 1)}), ("EN", {(3, 2, 1)}),
-        ("EN", {(1, 2, 3)}), ("EN", {(1, 2, 4, 3)}), ("EN", {(2, 1, 4, 3)}),
-        ("NE", {(2, 1, 3)}), ("NE", {(2, 1, 3), (1, 2, 3)}),
-        ("NE", {(2, 1, 3), (1, 3, 2)}), ("NE", {(3, 1, 2)}),
-        ("NE", {(1, 2, 3)}),
-    ])
+    @pytest.mark.parametrize("family,pats", CASES)
     def test_every_case_matches_oracle(self, family, pats):
         for s in range(1, 5):
             for t in range(1, 5):
@@ -101,6 +106,30 @@ class TestDispatcher:
                     continue
                 assert res.value == count_avoiders(build(family, s, t), pats), \
                     (family, s, t, pats)
+
+    def test_cases_are_the_table_keys(self):
+        assert CASES == [(family, set(pats)) for family, pats in CLOSED_FORMS]
+
+    def test_closure_keys_are_distinct(self):
+        # two rows with one key would leave one of them unreachable
+        keys = {(family, rc_closure_key(pats))
+                for family, pats in CLOSED_FORMS}
+        assert len(keys) == len(CLOSED_FORMS)
+
+    @pytest.mark.parametrize("row", list(CLOSED_FORMS))
+    def test_verify_checks_every_row(self, row, monkeypatch):
+        form = CLOSED_FORMS[row]
+        assert verify.check_formulas_vs_oracle(6).ok
+        monkeypatch.setitem(CLOSED_FORMS, row,
+                            form._replace(count=lambda s, t: -1))
+        res = verify.check_formulas_vs_oracle(6)
+        assert res.status == "fail" and form.provenance in res.detail
+
+    def test_2143_provenance_names_the_part(self):
+        for t, part in enumerate(("i", "ii", "iii", "iv"), 1):
+            res = count_formula(canonicalize("EN", 3, t, [(2, 1, 4, 3)]))
+            assert res.provenance == "Thm5.9" + part
+        assert count_formula(canonicalize("EN", 2, 5, [(2, 1, 4, 3)])) is None
 
     @given(st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
@@ -121,6 +150,12 @@ class Test2143ClosedForms:
     def test_t5_not_available(self):
         with pytest.raises(ValueError):
             count_2143_closed(3, 5)
+
+    @pytest.mark.parametrize("s,t", [(0, 1), (0, 2), (0, 3), (0, 4), (-1, 2),
+                                     (2, 0), (3, -1)])
+    def test_empty_shapes_rejected(self, s, t):
+        with pytest.raises(ValueError, match="need s >= 1 and t >= 1"):
+            count_2143_closed(s, t)
 
 
 class TestInvBounds:

@@ -33,6 +33,12 @@ class TestQCatalan:
         for n in range(8):
             assert q_catalan(n) == q_catalan_by_words(n)
 
+    @pytest.mark.parametrize("f", [q_catalan, q_catalan_by_words,
+                                   maj_q_catalan])
+    def test_negative_n_rejected(self, f):
+        with pytest.raises(ValueError, match="non-negative"):
+            f(-1)
+
     def test_specializes_to_catalan(self):
         for n in range(10):
             assert eval_at_one(q_catalan(n)) == catalan(n)

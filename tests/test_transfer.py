@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from lexcount import verify
 from lexcount.engine import count_avoiders
 from lexcount.formulas import count_2143_closed
 from lexcount.posets import build
@@ -59,6 +60,14 @@ class TestBMatrix:
                            capture_output=True, text=True, timeout=60)
         assert r.returncode == 0, r.stderr
         assert int(r.stdout) == sum(b_matrix(150)[-1])
+
+    def test_verify_names_the_failing_identity(self, monkeypatch):
+        # b(1,1;1) = 1 is checked by symmetry and the binomial identity
+        assert verify.check_b_matrix(4, 3).detail == "44 instances"
+        monkeypatch.setattr(verify, "comb", lambda n, k: 0)
+        res = verify.check_b_matrix(4, 3)
+        assert res.status == "fail"
+        assert res.detail.startswith("symmetry, binomial (1,1;1); ")
 
 
 class TestAVector:
