@@ -119,12 +119,13 @@ def check_saw_zip_posets(max_n: int = 12) -> CheckResult:
 def check_b_matrix(max_n: int = 8, oracle_n: int = 6) -> CheckResult:
     """b(j,k;n) against path enumeration for n <= oracle_n, and its
     identities for n <= max_n; one row per (n, j, k) in each."""
-    rows = [(f"b({j},{k};{n})", transfer.b_matrix(n)[j - 1][k - 1],
+    bms = {n: transfer.b_matrix(n)
+           for n in range(1, max(max_n, oracle_n) + 1)}
+    rows = [(f"b({j},{k};{n})", bms[n][j - 1][k - 1],
              paths.enumerate_jk(n, j, k)) for n in range(1, oracle_n + 1)
             for j in range(1, n + 1) for k in range(1, n + 1)]
     for n in range(1, max_n + 1):
-        bm = transfer.b_matrix(n)
-        bprev = transfer.b_matrix(n - 1) if n > 1 else ()
+        bm, bprev = bms[n], bms.get(n - 1, ())
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 b = bm[j - 1][k - 1]
