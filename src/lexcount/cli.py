@@ -402,6 +402,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
     if not _emit(output):
         return 1

@@ -10,18 +10,25 @@ length, a state keeps only those that no other one dominates: a match is
 dominated when every value that would extend or complete it also extends
 or completes the other one, so it never decides whether a prefix dies.
 Prefixes that agree on the ideal and on these matches are merged into one
-state.  The loop knows no weight; each caller says how one placement
-weighs: `count_avoiders` as a count, `stat_gf` as q^inv or q^maj.
-`list_avoiders` keeps each state's out-edges instead, drops the states
-from which no extension can be completed, and walks what is left in
-increasing label order, so it lists the avoiders lexicographically and
-never enters a dead branch.  The walk concatenates one label token per
-element: tuples (x,) give `Perm` tuples, and `format_avoiders` passes the
-labels as text with `format_perm`'s separator, so that `list` prints the
-lines the walk builds.  The pass that drops dead states also gives every
-state with exactly one completion the tokens of that completion, its
-tail; the walk emits prefix + label + tail at such a state instead of
-descending into it.
+state.  Every unplaced value comes after the prefix, so the gaps of a
+match, how many unplaced values lie below each matched value, can show
+that a state is dead when it forms: if a match lacks one entry and an
+unplaced value fits its slot, that value will complete the pattern, so the
+state is never built; a match with a slot that stays empty can never
+complete, so it is dropped.  This is the gap-vector test of Zeilberger's
+and Vatter's enumeration schemes.  The loop knows no weight; each caller
+says how one placement weighs: `count_avoiders` as a count, `stat_gf` as
+q^inv or q^maj.  `list_avoiders` keeps each state's out-edges instead,
+drops the states from which no extension can be completed (the gap rules
+kill those that one match dooms, not those that the poset dooms through
+several), and walks what is left in increasing label order, so it lists
+the avoiders lexicographically and never enters a dead branch.  The walk
+concatenates one label token per element: tuples (x,) give `Perm` tuples,
+and `format_avoiders` passes the labels as text with `format_perm`'s
+separator, so that `list` prints the lines the walk builds.  The pass that
+drops dead states also gives every state with exactly one completion the
+tokens of that completion, its tail; the walk emits prefix + label + tail
+at such a state instead of descending into it.
 
 `avoiders` is the independent reference the DP is tested against: a
 backtracking generator that tries the available elements in increasing
@@ -229,8 +236,9 @@ def _slot_plan(sig: Perm, L: int) -> tuple:
     """What decides the future of a match of sig[:L]: the positions in
     sig[:L] of the lower and upper neighbours of sig[L] (-1 for none); for
     each position, whether it bounds the slot of some entry sig[j], j >= L;
-    and the positions that bound slots from both sides, from below only
-    and from above only."""
+    the positions that bound slots from both sides, from below only and
+    from above only; and the (lower, upper) neighbours of each slot j >= L
+    that is bounded above."""
     slots = [(max((q for q in range(L) if sig[q] < v),
                   key=sig.__getitem__, default=-1),
               min((q for q in range(L) if sig[q] > v),
@@ -239,7 +247,8 @@ def _slot_plan(sig: Perm, L: int) -> tuple:
     lows = {lo for lo, _ in slots} - {-1}
     highs = {hi for _, hi in slots} - {-1}
     return (slots[0], tuple(q in lows | highs for q in range(L)),
-            sorted(lows & highs), sorted(lows - highs), sorted(highs - lows))
+            sorted(lows & highs), sorted(lows - highs), sorted(highs - lows),
+            [(lo, hi) for lo, hi in slots if hi >= 0])
 
 
 def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
@@ -274,9 +283,31 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     order of `list`, whose walk takes the out-edges of every state in
     increasing label order, whichever prefixes share the state.
 
+    Every unplaced value comes after the prefix, and values only leave a
+    slot, so two rules find dead states when they form, from a match's
+    gaps.  The slot of sigma_i[j] holds the unplaced values of rank r with
+    lower gap <= r < upper gap, a missing lower neighbour counting as gap
+    0.  One entry short: if a match lacks only sigma_i's last entry and its
+    slot holds a value, that value will complete the pattern, so the state
+    is dead and is never built.  Hopeless: a match with a slot still to
+    fill, the last one included, that is bounded above and empty can never
+    complete, and is dropped.  Both are decided once, when a match is
+    interned, except for a one-short slot open above, which holds a value
+    iff its lower gap is below the n - k - 1 values left unplaced after the
+    placement.  The per-rank memos cannot see that count, so the memo of a
+    set and a rank keeps the least such lower gap beside the id of the set
+    it leads to, and the layer loop compares the two.  No gap exceeds the
+    count, so in a state that lives each such gap equals it: the slot is
+    empty for good, and the match is dropped as well.  No set keeps a match
+    one entry short, then, and no step completes a pattern.  The rules are
+    sufficient, not complete: a state whose every completion the poset
+    blocks through several matches or elements is still built, so
+    `_walk_avoiders` keeps its backward prune.
+
     Matches and sets of matches are interned as ints.  Each match keeps
     what placing a value of rank r leaves of it, and each set the id of the
-    set it becomes, so one call of the DP takes each step once per rank.
+    set it becomes and that least gap, so one call of the DP takes each
+    step once per rank.
     """
     pats = sorted({perm(p) for p in patterns})
     n = poset.n
@@ -285,50 +316,68 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     full = (1 << n) - 1
     plan = [[_slot_plan(sig, L) for L in range(len(sig))] for sig in pats]
 
-    matches: dict = {}  # (i, gaps) -> id
+    matches: dict = {}  # (i, gaps) -> id, -1 if dead
     info: list = []     # id -> (i, gaps)
-    moves: list = []    # id -> r -> ids the match leaves, () if it completes
+    moves: list = []    # id -> r -> ids the match leaves, () if it dies
     # rank[id]: (group, coordinates).  The group is an int for (i, L, the
     # gaps that bound slots from both sides, which must be equal); the
     # coordinates are the lower bounds and the negated upper bounds, padded
     # to two, so that A dominates B iff A's are <= B's one by one
     rank: list = []
     groups: dict = {}
+    # short[id]: the lower gap of a match one entry short whose slot is open
+    # above, None for any other match
+    short: list = []
 
     def match(i: int, gaps: tuple) -> int:
+        """The id of match (i, gaps), classified once: -1 if it is one
+        entry short and its slot, bounded above, holds a value; the id of
+        the empty match of sigma_i, which every set holds, if a slot still
+        to fill is bounded above and empty."""
         mid = matches.get((i, gaps))
         if mid is None:
-            mid = matches[i, gaps] = len(info)
-            info.append((i, gaps))
-            moves.append([None] * n)
-            _, _, both, low, high = plan[i][len(gaps)]
-            g = groups.setdefault((i, len(gaps), tuple(gaps[q] for q in both)),
-                                  len(groups))
-            coords = [gaps[q] for q in low] + [-gaps[q] for q in high]
-            rank.append((g, tuple(coords + [0] * (2 - len(coords)))))
+            L = len(gaps)
+            (lo, hi), _, both, low, high, bounded = plan[i][L]
+            if any((gaps[a] if a >= 0 else 0) >= gaps[b] for a, b in bounded):
+                mid = match(i, ())
+            elif L + 1 == len(pats[i]) and hi >= 0:
+                mid = -1
+            else:
+                mid = len(info)
+                info.append((i, gaps))
+                moves.append([None] * n)
+                g = groups.setdefault((i, L, tuple(gaps[q] for q in both)),
+                                      len(groups))
+                coords = [gaps[q] for q in low] + [-gaps[q] for q in high]
+                rank.append((g, tuple(coords + [0] * (2 - len(coords)))))
+                short.append(None if L + 1 < len(pats[i])
+                             else gaps[lo] if lo >= 0 else 0)
+            matches[i, gaps] = mid
         return mid
 
     def step(mid: int, r: int) -> tuple:
         """Placing a value of rank r: the match with its gaps renumbered
-        and, if the value fits the next slot, the match extended by it;
-        () if the value completes the pattern."""
+        and, if the value fits the next slot, the match extended by it,
+        each as `match` classifies it; () if the extended match is dead.
+        No set holds a match one entry short, so none completes here."""
         i, gaps = info[mid]
         (lo, hi), *_ = plan[i][len(gaps)]
         shifted = tuple(g - (g > r) for g in gaps)
         kept = match(i, shifted)
         if lo >= 0 and gaps[lo] > r or hi >= 0 and gaps[hi] <= r:
             return (kept,)
-        if len(gaps) + 1 == len(pats[i]):
-            return ()
         used = plan[i][len(gaps) + 1][1]
-        return kept, match(i, tuple(g if u else 0 for g, u
-                                    in zip(shifted + (r,), used)))
+        grown = match(i, tuple(g if u else 0 for g, u
+                               in zip(shifted + (r,), used)))
+        return () if grown < 0 else (kept, grown)
 
     sets: dict = {}     # frozenset of match ids -> id
     members: list = []  # id -> match ids
-    # after[id][r]: the id of the set after placing a value of rank r, -1
-    # if the value completes a pattern
+    # after[id][r]: `settle` of the matches that placing a value of rank r
+    # leaves, dead (below every count of unplaced values) if one of them is
+    # dead
     after: list = []
+    dead = (-1, -1)
 
     def reduced(new: set) -> int:
         """The id of the set of the matches in new that no other one
@@ -357,7 +406,17 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
             after.append([None] * n)
         return sid
 
-    def advance(sid: int, r: int) -> int:
+    def settle(new: set) -> tuple:
+        """(id of the set of the matches in new but those one entry short
+        with a slot open above, the least lower gap of those, n if none).
+        A state is live only if that gap is at least its number of unplaced
+        values; then it is equal, every such slot is empty for good, and
+        the matches are dropped."""
+        ends = {mid for mid in new if short[mid] is not None}
+        return (reduced(new - ends),
+                min((short[mid] for mid in ends), default=n))
+
+    def advance(sid: int, r: int) -> tuple:
         new = set()
         for mid in members[sid]:
             row = moves[mid]
@@ -365,16 +424,19 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
             if move is None:
                 move = row[r] = step(mid, r)
             if not move:
-                return -1
+                return dead
             new.update(move)
-        return reduced(new)
+        return settle(new)
 
     layer: dict = {}
     if () not in pats:  # the empty pattern is contained in everything
         poset._closure  # noqa: B018 -- topological sort; raises on a cycle
-        layer[0, reduced({match(i, ()) for i in range(len(pats))})] = root
+        sid, low = settle({match(i, ()) for i in range(len(pats))})
+        if low >= n:
+            layer[0, sid] = root
     for k in range(n):
         nxt: dict = {}
+        live = n - k - 1  # values still unplaced after this placement
         for (mask, sid), ways in layer.items():
             free = full & ~mask
             row = after[sid]
@@ -383,10 +445,11 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
                 if not free & bit or pred_masks[x] & ~mask:
                     continue
                 r = (free & (bit - 1)).bit_count()
-                nsid = row[r]
-                if nsid is None:
-                    nsid = row[r] = advance(sid, r)
-                if nsid >= 0:
+                move = row[r]
+                if move is None:
+                    move = row[r] = advance(sid, r)
+                nsid, low = move
+                if low >= live:
                     edge(nxt, (mask | bit, nsid), ways, mask, x, r, k)
         layer = nxt
     return layer

@@ -665,6 +665,18 @@ class TestRobustness:
         assert err.startswith("error: too many elements, got s=")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--poset", "EN:99999999999x2"],
+        ["list", "--poset", "EN:3x3"],
+        ["qpoly", "--poset", "NE:3x3", "--avoid", "123"]])
+    def test_out_of_memory(self, run, monkeypatch, argv):
+        # a poset that fits an index but not in memory; raised, not built
+        def exhausted(spec):
+            raise MemoryError
+        monkeypatch.setattr(cli, "parse_poset_spec", exhausted)
+        code, out, err = run(*argv)
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
     def test_deeply_nested_tableau_word(self, run):
         word = "[" * 30000 + "]" * 30000
         code, out, err = run("bijection", "--poset", "EN:2x2",

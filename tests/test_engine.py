@@ -164,14 +164,36 @@ class TestAvoiderDP:
     def test_dominated_matches_are_dropped(self):
         # NE:6x6 avoiding 123 takes 63,357 states over all layers if every
         # partial match is kept; the non-dominated ones leave 3,676
-        states = set()
+        assert states_built(build("NE", 6, 6), [(1, 2, 3)]) < 10_000
 
-        def edge(nxt, state, ways, mask, x, r, k):
-            states.add(state)
-            nxt[state] = ways
+    def test_dead_states_are_killed(self):
+        # a match of 214 is dead or dropped as soon as it forms: 15,482
+        # states without the gap rules, 285 with them
+        assert states_built(build("EN", 10, 3), [(2, 1, 4, 3)]) < 1_000
+        # sweep's repeated problem: 1,311 states without, 340 with
+        assert states_built(build("EN", 4, 5),
+                            [(1, 3, 2, 4), (2, 4, 1, 3)]) < 600
+        # a live state's matches of 12 have no value left above them, so
+        # they are dropped: 1,835 states if they were kept, 923 without
+        assert states_built(build("NE", 6, 6), [(1, 2, 3)]) < 1_000
 
-        _avoider_dp(build("NE", 6, 6), [(1, 2, 3)], 1, edge)
-        assert len(states) < 10_000
+    def test_reach_against_the_transfer_matrix(self):
+        # 40 elements, past every test that runs backtracking
+        assert (count_avoiders(build("EN", 8, 5), [(2, 1, 4, 3)])
+                == count_2143(8, 5) == 1825158051)
+
+
+def states_built(poset, patterns):
+    """The number of distinct states the avoider DP builds over all
+    layers."""
+    states = set()
+
+    def edge(nxt, state, ways, mask, x, r, k):
+        states.add(state)
+        nxt[state] = ways
+
+    _avoider_dp(poset, patterns, 1, edge)
+    return len(states)
 
 
 class TestListAvoiders:
@@ -295,6 +317,24 @@ class TestLongerPatterns:
                                        (3, 1, 6, 4, 2, 5)])
     def test_length_6_with_two_separated_slots(self, spec, sigma):
         assert_every_weight_agrees(parse_poset_spec(spec), [sigma])
+
+
+class TestDeadStates:
+    """Every weight of the DP against backtracking where the rules that
+    kill dead states fire: a match one entry short is dead when its slot
+    holds an unplaced value, bounded above by a matched value (132, 2143,
+    2413, 3142) or open above and compared with the free count (123, 1324,
+    2134, 3124)."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_shape_to_12_elements(self, family):
+        for s in range(1, 13):
+            for t in range(1, 12 // s + 1):
+                poset = build(family, s, t)
+                for sigma in [(1, 2, 3), (1, 3, 2, 4), (2, 1, 3, 4),
+                              (3, 1, 2, 4), (1, 3, 2), (2, 1, 4, 3),
+                              (2, 4, 1, 3), (3, 1, 4, 2)]:
+                    assert_every_weight_agrees(poset, [sigma])
 
 
 class TestFamilySymmetry:
