@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
 from . import formulas, paths, qstats, transfer, verify
-from .engine import count_avoiders, count_extensions, format_avoiders
+from .engine import (count_avoiders, count_extensions, format_avoiders,
+                     listing)
 from .perms import descents, format_perm, parse_perm
 from .polys import QPoly, format_q, format_x, to_json_dict
 from .posets import (FAMILIES, GridPoset, build, canonicalize,
@@ -109,8 +110,10 @@ def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_list(args: argparse.Namespace) -> tuple[int, str]:
     poset, patterns, echo = _read(args, refuse="listing")
-    exts = list(format_avoiders(poset, patterns))
-    return 0, _render(args, "\n".join(exts), {**echo, "extensions": exts})
+    if args.format == "json":
+        exts = format_avoiders(poset, patterns)
+        return 0, _render(args, "", {**echo, "extensions": exts})
+    return 0, "\n".join(listing(poset, patterns))
 
 
 def _table_cell(family: str, s: int, t: int,

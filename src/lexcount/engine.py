@@ -1,7 +1,7 @@
 """
 Enumerate and count (pattern-avoiding) linear extensions.
 
-`count_avoiders`, `count_extensions`, `stat_gf` and `list_avoiders` share
+`count_avoiders`, `count_extensions`, `stat_gf` and `listing` share
 one forward DP over prefix length, the package's only order-ideal DP.  A
 prefix matters to its completions only through the order ideal it fills
 and its partial pattern matches, each matched value replaced by its rank
@@ -18,17 +18,19 @@ state is never built; a match with a slot that stays empty can never
 complete, so it is dropped.  This is the gap-vector test of Zeilberger's
 and Vatter's enumeration schemes.  The loop knows no weight; each caller
 says how one placement weighs: `count_avoiders` as a count, `stat_gf` as
-q^inv or q^maj.  `list_avoiders` keeps each state's out-edges instead,
+q^inv or q^maj.  `listing` keeps each state's out-edges instead,
 drops the states from which no extension can be completed (the gap rules
 kill those that one match dooms, not those that the poset dooms through
 several), and walks what is left in increasing label order, so it lists
 the avoiders lexicographically and never enters a dead branch.  The walk
-concatenates one label token per element: tuples (x,) give `Perm` tuples,
-and `format_avoiders` passes the labels as text with `format_perm`'s
-separator, so that `list` prints the lines the walk builds.  The pass that
-drops dead states also gives every state with exactly one completion the
-tokens of that completion, its tail; the walk emits prefix + label + tail
-at such a state instead of descending into it.
+builds the text `list` prints, `format_perm` of each extension, one a
+line; `format_avoiders` splits it into lines and `list_avoiders` parses
+them.  The pass that drops dead states also gives a state whose
+completions fit in BLOCK_CAP characters their text, its block, built from
+its children's blocks with str.join and str.replace; the walk descends
+only through states without a block and, at an edge into a block, puts
+the prefix before each of its lines in one str.replace, so the Python
+work is per block, not per line.
 
 `avoiders` is the independent reference the DP is tested against: a
 backtracking generator that tries the available elements in increasing
@@ -42,7 +44,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Perm, contains, ending_matcher, perm, perm_sep
+from .perms import Perm, contains, ending_matcher, parse_perm, perm, perm_sep
 from .polys import QPoly
 from .posets import GridPoset, build
 
@@ -98,45 +100,61 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
 
 
 def list_avoiders(poset: GridPoset,
-                  patterns: Iterable[Sequence[int]]) -> Iterator[Perm]:
+                  patterns: Iterable[Sequence[int]]) -> list[Perm]:
     """Linear extensions avoiding every pattern, in lexicographic order:
-    the list `avoiders` gives, read off the avoider DP's state graph.
+    the list `avoiders` gives, parsed from the lines of `format_avoiders`.
 
-    The graph is built and pruned before the iterator is returned, so a
-    cyclic poset or a bad pattern raises here.  See `_walk_avoiders`.
+    A cyclic poset or a bad pattern raises here.
     """
-    return _walk_avoiders(poset, patterns,
-                          [(x,) for x in range(1, poset.n + 1)], ())
+    return [parse_perm(line) for line in format_avoiders(poset, patterns)]
 
 
 def format_avoiders(poset: GridPoset,
-                    patterns: Iterable[Sequence[int]]) -> Iterator[str]:
-    """`format_perm` of each extension `list_avoiders` yields, in the same
-    order, built as text by the same walk."""
-    return _walk_avoiders(poset, patterns,
-                          [str(x) for x in range(1, poset.n + 1)],
-                          perm_sep(poset.n))
+                    patterns: Iterable[Sequence[int]]) -> list[str]:
+    """`format_perm` of each pattern-avoiding extension, in lexicographic
+    order: the lines of the text `listing` gives."""
+    chunks = listing(poset, patterns)
+    return "\n".join(chunks).split("\n") if chunks else []
 
 
-def _walk_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]],
-                   labels: list, sep):
-    """Each pattern-avoiding extension as labels[x1 - 1] + sep + ... + sep
-    + labels[xn - 1], in lexicographic order: tuples for labels (x,) and
-    sep (), text for labels str(x).
+# The most characters a state's block may hold.  At a few thousand
+# characters the walk's Python work per chunk is already small beside
+# copying the chunk's text.  A larger cap gains nothing: it builds bigger
+# blocks that then overflow it, and the blocks kept take up to states x
+# BLOCK_CAP characters.
+BLOCK_CAP = 1 << 12
+
+
+def listing(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> list[str]:
+    """The text `list` prints, as chunks of whole lines: "\n".join(chunks)
+    is `format_perm` of each pattern-avoiding extension, one a line, in
+    lexicographic order.  [] if no extension avoids the patterns, [""] for
+    the one empty extension of the empty poset.
 
     The DP weighs each state by its out-edge list [(x, child's list)], x
     increasing, and layers[k] holds the lists of layer k.  A backward pass
     keeps only the edges into states from which some extension can be
     completed; every state of the last layer can, and a state of an
-    earlier layer can iff it keeps an edge.  The same pass gives each
-    state with exactly one completion its tail, sep + label + sep + ... +
-    label of that completion (empty in the last layer), and the edge into
-    such a state carries the tail in place of the state, so the walk emits
-    prefix + label + tail there instead of descending.  Dead states are
-    freed on return.
+    earlier layer can iff it keeps an edge.  An edge's token is its label,
+    after the separator unless the edge leaves the root.  The same pass
+    gives a state its block, the text of all its completions, one a line:
+    "" in the last layer; above it, when every kept child has a block,
+    each child's lines with the edge's token before each, joined, if that
+    holds at most BLOCK_CAP characters.  The edge into a state with a
+    block carries the block in place of the state.  A block at the root
+    is the whole text.  Otherwise the walk descends, in increasing label
+    order, only through states without a block, and at each edge into a
+    block appends one chunk: the block with the tokens of the path down,
+    the edge's included, before each line.
+
+    The cap bounds the memory the blocks take: one per state, each of at
+    most BLOCK_CAP characters, so at most states x BLOCK_CAP beside the
+    output however long the listing is.  The graph, dead states included,
+    is freed on return.
     """
+    n = poset.n
     root: list = []
-    layers = [[root]] + [[] for _ in range(poset.n)]
+    layers = [[root]] + [[] for _ in range(n)]
 
     def edge(nxt, state, edges, mask, x, r, k):
         child = nxt.get(state)
@@ -145,39 +163,37 @@ def _walk_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]],
             layers[k + 1].append(child)
         edges.append((x, child))
 
-    empty = sep[:0]
     if not _avoider_dp(poset, patterns, root, edge):
-        return iter(())
-    if poset.n == 0:
-        return iter([empty])
-    tails = {id(edges): empty for edges in layers[-1]}
-    for layer in reversed(layers[:-1]):
-        for edges in layer:
-            edges[:] = [(x, tails.get(id(child), child))
-                        for x, child in edges if child or id(child) in tails]
-            if len(edges) == 1 and type(edges[0][1]) is not list:
-                x, tail = edges[0]
-                tails[id(edges)] = sep + labels[x] + tail
-    return _walk(root, labels, sep)
-
-
-def _walk(root: list, labels: list, sep) -> Iterator:
-    """prefix + labels[x] + tail for every edge (x, tail) of the pruned
-    graph below root, in increasing label order, each prefix the labels
-    on the way down, each followed by sep."""
-    tokens = [label + sep for label in labels]
-    prefixes = [sep[:0]]
-    stack = [iter(root)]
+        return []
+    labels = [str(x) for x in range(1, n + 1)]
+    tokens = [perm_sep(n) + label for label in labels]
+    blocks = {id(edges): "" for edges in layers[-1]}
+    for k in range(n - 1, -1, -1):
+        toks = tokens if k else labels
+        for edges in layers[k]:
+            edges[:] = [(x, blocks.get(id(child), child))
+                        for x, child in edges if child or id(child) in blocks]
+            if edges and all(type(child) is str for _, child in edges):
+                block = "\n".join(toks[x] + b.replace("\n", "\n" + toks[x])
+                                  for x, b in edges)
+                if len(block) <= BLOCK_CAP:
+                    blocks[id(edges)] = block
+    if id(root) in blocks:
+        return [blocks[id(root)]]
+    chunks = []
+    stack = [(iter(root), "", labels)]
     while stack:
-        for x, child in stack[-1]:
-            if type(child) is list:
-                prefixes.append(prefixes[-1] + tokens[x])
-                stack.append(iter(child))
+        edges, prefix, toks = stack[-1]
+        for x, child in edges:
+            p = prefix + toks[x]
+            if type(child) is str:
+                chunks.append(p + child.replace("\n", "\n" + p))
+            else:
+                stack.append((iter(child), p, tokens))
                 break
-            yield prefixes[-1] + labels[x] + child
         else:
             stack.pop()
-            prefixes.pop()
+    return chunks
 
 
 def count_avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> int:
@@ -302,7 +318,7 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     one entry short, then, and no step completes a pattern.  The rules are
     sufficient, not complete: a state whose every completion the poset
     blocks through several matches or elements is still built, so
-    `_walk_avoiders` keeps its backward prune.
+    `listing` keeps its backward prune.
 
     Matches and sets of matches are interned as ints.  Each match keeps
     what placing a value of rank r leaves of it, and each set the id of the

@@ -156,6 +156,18 @@ class TestList:
         payload = json.loads(out)
         assert payload["extensions"] == ["3142", "3412"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--poset", "EN:4x4"], ["--poset", "EN:4x3", "--avoid", "1243"],
+        ["--poset", "NE:3x3", "--avoid", "123"],
+        ["--poset", "EN:2x2", "--avoid", "1"]])
+    def test_json_has_the_plain_lines(self, run, argv):
+        # EN:4x4 lists 24,024 extensions, more text than one block holds
+        code, plain, _ = run("list", *argv)
+        assert code == 0
+        code, out, _ = run("list", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["extensions"] == plain.splitlines()
+
     def test_guard(self, run):
         code, _, err = run("list", "--poset", "EN:6x6")
         assert code == 1

@@ -3,9 +3,11 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexcount import engine
 from lexcount.engine import (_avoider_dp, avoiders, count_avoiders,
                              count_extensions, format_avoiders, insert_213,
-                             is_extension, linear_extensions, list_avoiders)
+                             is_extension, linear_extensions, list_avoiders,
+                             listing)
 from lexcount.formulas import fuss_catalan
 from lexcount.perms import contains, format_perm, inv, maj
 from lexcount.qstats import stat_gf
@@ -216,9 +218,11 @@ class TestListAvoiders:
                     for m in range(1, 5):
                         for sigma in permutations(range(1, m + 1)):
                             got = list(list_avoiders(poset, [sigma]))
-                            assert got == list(avoiders(poset, [sigma])), \
-                                (family, s, t, sigma)
+                            want = list(avoiders(poset, [sigma]))
+                            assert got == want, (family, s, t, sigma)
                             assert count_avoiders(poset, [sigma]) == len(got)
+                            assert (format_avoiders(poset, [sigma])
+                                    == list(map(format_perm, want)))
 
     def test_empty_pattern(self):
         assert list(list_avoiders(build("EN", 2, 2), [()])) == []
@@ -253,10 +257,24 @@ class TestFormatAvoiders:
 
     def test_empty_poset(self):
         assert list(format_avoiders(empty_poset(), [])) == [""]
+        # one empty line, told apart from no line at all
+        assert listing(empty_poset(), []) == [""]
+        assert list_avoiders(empty_poset(), []) == [()]
 
     def test_dead_root(self):
         assert list(format_avoiders(build("NE", 2, 3), [(1,)])) == []
         assert list(format_avoiders(build("EN", 2, 2), [()])) == []
+        assert listing(build("NE", 2, 3), [(1,)]) == []
+        assert listing(build("EN", 2, 2), [()]) == []
+
+    def test_past_the_block_cap(self):
+        # 24,024 lines with the comma separator, far more text than one
+        # block may hold, so the walk appends several chunks
+        poset = build("EN", 4, 4)
+        chunks = listing(poset, [])
+        assert len(chunks) > 1
+        assert (format_avoiders(poset, [])
+                == [format_perm(p) for p in avoiders(poset, [])])
 
     def test_root_with_one_completion(self):
         # a chain has one extension, so the root's only edge leads to a
@@ -266,6 +284,32 @@ class TestFormatAvoiders:
             "11,10,9,8,7,6,5,4,3,2,1"]
         assert list(list_avoiders(build("NE", 11, 1), [])) == [
             tuple(range(11, 0, -1))]
+
+
+@pytest.fixture(scope="class", params=[0, 16], ids=["no_blocks", "mixed"])
+def small_blocks(request):
+    """BLOCK_CAP so small that no state above the last layer gets a block
+    (0), or that small cases mix states with and without one (16), so that
+    the walk descends and appends chunks where the default cap would give
+    the root a block and return it whole."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "BLOCK_CAP", request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestListAvoidersSmallBlocks(TestListAvoiders):
+    """TestListAvoiders with small blocks."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestFormatAvoidersSmallBlocks(TestFormatAvoiders):
+    """TestFormatAvoiders with small blocks."""
+
+    def test_chunks(self, small_blocks):
+        chunks = listing(build("EN", 3, 3), [])
+        assert len(chunks) > 1
+        assert any("\n" in c for c in chunks) == (small_blocks > 0)
 
 
 def assert_every_weight_agrees(poset, patterns):
