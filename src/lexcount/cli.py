@@ -25,10 +25,6 @@ from .posets import (FAMILIES, GridPoset, build, canonicalize,
 ORACLE_GUARD = 25
 
 
-class CliError(Exception):
-    pass
-
-
 class Disagreement(Exception):
     """Counting routes disagree: main prints them, exits 2, caches nothing."""
 
@@ -54,15 +50,16 @@ def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
             routes["transfer"] = transfer.count_2143(prob.s, prob.t)
     if want("ideal-dp") and not patterns:
         routes["ideal-dp"] = count_extensions(poset)
-    # without patterns the oracle would run the same DP a second time
+    # without patterns the oracle is ideal-dp's DP: it runs only in its
+    # place and, like it, on any number of elements
     if want("oracle") and "ideal-dp" not in routes:
-        if poset.n <= ORACLE_GUARD or force:
+        if poset.n <= ORACLE_GUARD or force or not patterns:
             routes["oracle"] = count_avoiders(poset, patterns)
         elif only == "oracle":
-            raise CliError(
+            raise ValueError(
                 f"oracle route refused for {poset.n} elements; pass --force")
     if only is not None and not routes:
-        raise CliError(f"route {only!r} is not available for this problem")
+        raise ValueError(f"route {only!r} is not available for this problem")
     if len(set(routes.values())) > 1:
         raise Disagreement(
             ", ".join(f"{r}={v}" for r, v in sorted(routes.items())))
@@ -77,8 +74,8 @@ def _read(args: argparse.Namespace, refuse: str = ""
     poset = parse_poset_spec(args.poset) if "poset" in args else None
     patterns = [parse_perm(p) for p in getattr(args, "avoid", ())]
     if refuse and poset.n > ORACLE_GUARD and not args.force:
-        raise CliError(f"{refuse} refused for {poset.n} elements; "
-                       "pass --force")
+        raise ValueError(f"{refuse} refused for {poset.n} elements; "
+                         "pass --force")
     echo = {} if poset is None else {"poset": poset.spec_string()}
     if "avoid" in args:
         echo["patterns"] = [format_perm(p) for p in patterns]
@@ -100,7 +97,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
     poset, patterns, echo = _read(args)
     route, value = _solve(poset, patterns, args.force, args.route)
     if route is None:
-        raise CliError(
+        raise ValueError(
             f"no affordable route for {poset.n} elements; pass --force "
             "to run the oracle anyway")
     return 0, _render(args, f"{value}\nroute: {route}",
@@ -126,7 +123,7 @@ def _table_cell(family: str, s: int, t: int,
 
 def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     if args.family not in FAMILIES:
-        raise CliError(f"unknown family {args.family!r}")
+        raise ValueError(f"unknown family {args.family!r}")
     _, patterns, echo = _read(args)
     grid = [[_table_cell(args.family, s, t, patterns, args.force)
              for t in range(1, args.max_t + 1)]
@@ -165,10 +162,10 @@ def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
     else:
         want = (saw_poset if args.kind == "fcpath" else zip_poset)(s, t)
     if poset != want:
-        raise CliError(f"--kind {args.kind} needs the poset "
-                       f"{want.spec_string()}, not {poset.spec_string()}")
+        raise ValueError(f"--kind {args.kind} needs the poset "
+                         f"{want.spec_string()}, not {poset.spec_string()}")
     if (args.perm is None) == (args.word is None):
-        raise CliError("exactly one of --perm and --word is required")
+        raise ValueError("exactly one of --perm and --word is required")
     payload["kind"] = args.kind
     if args.perm is not None:
         pi = parse_perm(args.perm)
@@ -195,8 +192,8 @@ def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
             if not (isinstance(rows, list) and len(rows) == s
                     and all(isinstance(r, list) and len(r) == t
                             and all(type(v) is int for v in r) for r in rows)):
-                raise CliError(f"--word must be a JSON list of {s} lists "
-                               f"of {t} integers for {poset.spec_string()}")
+                raise ValueError(f"--word must be a JSON list of {s} lists "
+                                 f"of {t} integers for {poset.spec_string()}")
             pi = paths.tableau_to_ext(rows)
         elif args.kind == "fcpath":
             pi = paths.fcpath_to_ext(args.word, s, t)
@@ -402,7 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, output = args.func(args)
     except Disagreement as e:
         return 2 if _emit(f"route disagreement: {e}") else 1
-    except (CliError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError:

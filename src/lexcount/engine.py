@@ -1,36 +1,15 @@
 """
 Enumerate and count (pattern-avoiding) linear extensions.
 
-`count_avoiders`, `count_extensions`, `stat_gf` and `listing` share
-one forward DP over prefix length, the package's only order-ideal DP.  A
-prefix matters to its completions only through the order ideal it fills
-and its partial pattern matches, each matched value replaced by its rank
-among the values not yet placed.  Of the matches of one pattern and
-length, a state keeps only those that no other one dominates: a match is
-dominated when every value that would extend or complete it also extends
-or completes the other one, so it never decides whether a prefix dies.
-Prefixes that agree on the ideal and on these matches are merged into one
-state.  Every unplaced value comes after the prefix, so the gaps of a
-match, how many unplaced values lie below each matched value, can show
-that a state is dead when it forms: if a match lacks one entry and an
-unplaced value fits its slot, that value will complete the pattern, so the
-state is never built; a match with a slot that stays empty can never
-complete, so it is dropped.  This is the gap-vector test of Zeilberger's
-and Vatter's enumeration schemes.  The loop knows no weight; each caller
-says how one placement weighs: `count_avoiders` as a count, `stat_gf` as
-q^inv or q^maj.  `listing` keeps each state's out-edges instead,
-drops the states from which no extension can be completed (the gap rules
-kill those that one match dooms, not those that the poset dooms through
-several), and walks what is left in increasing label order, so it lists
-the avoiders lexicographically and never enters a dead branch.  The walk
-builds the text `list` prints, `format_perm` of each extension, one a
-line; `format_avoiders` splits it into lines and `list_avoiders` parses
-them.  The pass that drops dead states also gives a state whose
-completions fit in BLOCK_CAP characters their text, its block, built from
-its children's blocks with str.join and str.replace; the walk descends
-only through states without a block and, at an edge into a block, puts
-the prefix before each of its lines in one str.replace, so the Python
-work is per block, not per line.
+`_avoider_dp` is the package's one order-ideal DP, a forward DP over
+prefix length that leaves the weight of a placement to its caller:
+`count_avoiders` and `count_extensions` count, `stat_gf` sums q^inv or
+q^maj, and `listing` keeps out-edges and builds the text `list` prints,
+which `format_avoiders` splits into lines and `list_avoiders` parses.
+The docstring of `_avoider_dp` describes the states, their dominance and
+the gap rules that kill dead states (the gap-vector test of Zeilberger's
+and Vatter's enumeration schemes); that of `listing` describes the
+backward prune and the block walk.
 
 `avoiders` is the independent reference the DP is tested against: a
 backtracking generator that tries the available elements in increasing
@@ -94,8 +73,6 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
                 indeg[y - 1] += 1
             indeg[x - 1] = 0
 
-    if n == 0:
-        return iter([()])  # the empty poset has exactly one extension
     return rec()
 
 

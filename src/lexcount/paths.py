@@ -192,8 +192,6 @@ def is_zipper(w: Sequence[int], s: int, t: int) -> bool:
 def zippers(s: int, t: int) -> Iterator[ZipperWord]:
     """All Catalan zippers of dimension s and length t, built letter class
     by letter class so only valid interleavings are explored."""
-    n = s * t
-
     def rec(word: tuple[int, ...], j: int) -> Iterator[ZipperWord]:
         if j > s:
             yield word

@@ -146,8 +146,6 @@ def format_perm(pi: Sequence[int]) -> str:
 
 def parse_perm(text: str) -> Perm:
     text = text.strip()
-    if not text:
-        return ()
     tokens = text.split(",") if "," in text else text
     if not all(tok.strip().isdecimal() for tok in tokens):
         raise ValueError(f"cannot parse permutation: {text!r}")

@@ -45,8 +45,6 @@ def sub(a: Sequence[int], b: Sequence[int]) -> QPoly:
 
 
 def mul(a: Sequence[int], b: Sequence[int]) -> QPoly:
-    if not a or not b:
-        return ZERO
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
@@ -60,8 +58,6 @@ def shift(a: Sequence[int], k: int) -> QPoly:
     """Multiply by the k-th power of the variable."""
     if k < 0:
         raise ValueError("shift must be non-negative")
-    if not a:
-        return ZERO
     return poly((0,) * k + tuple(a))
 
 

@@ -146,7 +146,7 @@ def check_count_2143(max_oracle: int = 16) -> CheckResult:
     for s, t in _shapes(max_oracle):
         oracle = count_avoiders(build("EN", s, t), [(2, 1, 4, 3)])
         tm = transfer.count_2143(s, t)
-        zc = sum(1 for _ in paths.zippers(s, t)) if t >= 2 else 1
+        zc = sum(1 for _ in paths.zippers(s, t))
         rows.append((f"({s},{t}): oracle {oracle}, matrix {tm}, zippers {zc}",
                      (tm, zc), (oracle, oracle)))
     rows += [(f"closed form ({s},{t})", transfer.count_2143(s, t),

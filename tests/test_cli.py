@@ -93,6 +93,11 @@ class TestCount:
         assert code == 1
         assert "force" in err
 
+    def test_oracle_without_patterns_past_the_guard(self, run):
+        # without patterns the oracle runs ideal-dp's DP, on any size
+        code, out, err = run("count", "--poset", "EN:6x6", "--route", "oracle")
+        assert (code, out, err) == (0, "1671643033734960\nroute: oracle", "")
+
     def test_bad_poset_spec(self, run):
         code, _, err = run("count", "--poset", "EN:4y3")
         assert code == 1
@@ -229,6 +234,12 @@ class TestTable:
         assert "must be at least 1" in err
         assert "Traceback" not in err
 
+    def test_range_must_be_an_integer(self, run):
+        code, out, err = run("table", "--family", "NE", "--max-s", "x",
+                             "--max-t", "2")
+        assert (code, out) == (1, "")
+        assert "argument --max-s: invalid int value: 'x'" in err
+
 
 class TestQpoly:
     def test_plain(self, run):
@@ -314,6 +325,13 @@ class TestBijection:
         code, _, err = run("bijection", "--poset", "EN:2x2",
                            "--kind", "tableau", "--perm", "1234")
         assert code == 1
+
+    def test_perm_of_the_wrong_length(self, run):
+        # 3142 is an extension of EN:2x2; a fifth entry makes it none
+        code, out, err = run("bijection", "--poset", "EN:2x2",
+                             "--kind", "tableau", "--perm", "31425")
+        assert (code, out) == (1, "")
+        assert err == "error: not a linear extension of the EN grid\n"
 
     @pytest.mark.parametrize("poset, kind, given", [
         ("NE:2x2", "tableau", ("--perm", "3142")),

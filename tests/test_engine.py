@@ -61,6 +61,11 @@ class TestEnumeration:
         for pi in linear_extensions(p):
             assert is_extension(p, pi)
 
+    def test_wrong_length_is_no_extension(self):
+        # (3, 1, 4, 2) is an extension of EN:2x2
+        assert not is_extension(build("EN", 2, 2), (3, 1, 4))
+        assert not is_extension(build("EN", 2, 2), (3, 1, 4, 2, 5))
+
     def test_cycle_detected_eagerly(self):
         with pytest.raises(ValueError, match="cycle"):
             avoiders(cyclic_poset(), [])
@@ -427,3 +432,9 @@ class TestInsert213:
             insert_213((3, 2, 1), 1, 3, 4)  # position out of range
         with pytest.raises(ValueError):
             insert_213((3, 2, 1), 2, 3, 1)  # wrong length
+
+    def test_rejects_a_source_containing_213(self):
+        # an extension of NE:2x3, so only the pattern check refuses it
+        assert is_extension(build("NE", 2, 3), (6, 3, 5, 2, 4, 1))
+        with pytest.raises(ValueError, match="contains 213"):
+            insert_213((6, 3, 5, 2, 4, 1), 2, 3, 1)

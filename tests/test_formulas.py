@@ -49,6 +49,11 @@ class TestHookCount:
         for n in range(1, 8):
             assert hook_count(n, 1) == 1
 
+    @pytest.mark.parametrize("s,t", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes_rejected(self, s, t):
+        with pytest.raises(ValueError, match="need s >= 1 and t >= 1"):
+            hook_count(s, t)
+
     def test_symmetry(self):
         for s in range(1, 9):
             for t in range(1, 9):
@@ -167,6 +172,11 @@ class TestInvBounds:
     ])
     def test_table_entries(self, s, t, expected):
         assert inv_bounds_1243(s, t) == expected
+
+    @pytest.mark.parametrize("s,t", [(0, 2), (2, 0)])
+    def test_empty_shapes_rejected(self, s, t):
+        with pytest.raises(ValueError, match="need s >= 1 and t >= 1"):
+            inv_bounds_1243(s, t)
 
     def test_product_structure(self):
         # entry(s,t) = entry(s,1) * entry(2,t), in both coordinates

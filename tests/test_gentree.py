@@ -24,6 +24,11 @@ class TestLabels:
         assert children_labels(2, 3) == {2, 3, 4}
         assert children_labels(0, 1) == {0}
 
+    @pytest.mark.parametrize("j, t", [(-1, 2), (0, 0)])
+    def test_children_labels_rejects_bad_arguments(self, j, t):
+        with pytest.raises(ValueError, match="need j >= 0 and t >= 1"):
+            children_labels(j, t)
+
     def test_label_range_in_practice(self):
         s, t = 3, 3
         labels = {saw_label(pi, s, t)
@@ -44,6 +49,11 @@ class TestCounting:
         assert count_at_depth(3, 2) == 3
         assert count_at_depth(3, 4) == 55
 
+    @pytest.mark.parametrize("t, depth", [(0, 2), (2, -1)])
+    def test_rejects_bad_arguments(self, t, depth):
+        with pytest.raises(ValueError, match="need t >= 1 and depth >= 0"):
+            count_at_depth(t, depth)
+
     def test_tree_counts_sawblade_extensions(self):
         for s in range(0, 5):
             for t in range(1, 4):
@@ -54,6 +64,11 @@ class TestCounting:
 
 
 class TestGrowth:
+    @pytest.mark.parametrize("s, t", [(-1, 2), (1, 0)])
+    def test_rejects_bad_arguments(self, s, t):
+        with pytest.raises(ValueError, match="need s >= 0 and t >= 1"):
+            grow_extensions(s, t)
+
     def test_matches_direct_enumeration(self):
         for s in range(0, 5):
             for t in range(1, 4):

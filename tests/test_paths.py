@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexcount import paths, verify
 from lexcount.engine import avoiders, linear_extensions
 from lexcount.formulas import catalan, fuss_catalan
 from lexcount.paths import (enumerate_12354_paths, enumerate_jk, ext_to_fcpath,
@@ -89,11 +90,30 @@ class TestZippers:
         # rightmost N1 must precede leftmost N3
         assert not is_zipper((1, 2, 3, 1, 2, 3), 3, 2)
 
+    @pytest.mark.parametrize("w, s, t", [
+        ((), 0, 1), ((), 1, 0), ((1, 1, 1, 2), 2, 2), ((1, 1, 1), 3, 1)])
+    def test_predicate_rejects_bad_sizes_and_counts(self, w, s, t):
+        # right length, letters in range: only the size or count check
+        # refuses these
+        assert not is_zipper(w, s, t)
+
     def test_counts(self):
         assert sum(1 for _ in zippers(1, 4)) == 1
         assert sum(1 for _ in zippers(2, 2)) == 2
         assert sum(1 for _ in zippers(3, 3)) == 21
         assert sum(1 for _ in zippers(4, 2)) == 8  # 2^(s-1)
+
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_one_zipper_of_length_one(self, s):
+        assert list(zippers(s, 1)) == [tuple(range(1, s + 1))]
+
+    @pytest.mark.parametrize("s, t", [(0, 2), (2, 0)])
+    def test_no_zippers_of_an_empty_size(self, s, t):
+        assert list(zippers(s, t)) == []
+
+    def test_encoding_rejects_non_extensions(self):
+        with pytest.raises(ValueError, match="not a 2143-avoiding"):
+            ext_to_zipper((2, 1), 1, 2)
 
     def test_images_coincide(self):
         for s, t in [(1, 3), (2, 2), (3, 2), (2, 3), (3, 3)]:
@@ -153,6 +173,9 @@ class TestPaths12354:
         # N1s must stay ahead of N2s
         assert not is_12354_path(("E", "N2", "N1"), 1, 3)
         assert not is_12354_path(("E", "N1", "N2", "E"), 1, 3)
+        # both ballots hold, but there is no N2
+        assert not is_12354_path(("E", "N1", "E"), 1, 3)
+        assert not is_12354_path(("E", "E", "E"), 1, 3)
 
     def test_counts_match_avoiders(self):
         for s in range(1, 4):
@@ -169,6 +192,42 @@ class TestPaths12354:
         images = {ext_to_12354_path(pi, s, t) for pi in exts}
         assert len(images) == len(exts)
         assert images == set(paths_12354(s, t))
+
+    @pytest.mark.parametrize("pi, s, t, message", [
+        ((1,), 1, 1, "t >= 2"), ((1, 2), 2, 1, "t >= 2"),
+        ((2, 1), 1, 2, "not a linear extension")])
+    def test_encoding_rejects_bad_input(self, pi, s, t, message):
+        with pytest.raises(ValueError, match=message):
+            ext_to_12354_path(pi, s, t)
+
+
+class TestCheckBijections:
+    """`verify.check_bijections` with one encoding broken."""
+
+    def test_roundtrip_failure(self, monkeypatch):
+        # each extension gets the next one's word: every word is valid and
+        # the image is whole, but the words decode to the wrong extensions
+        real = paths.ext_to_zipper
+
+        def next_word(pi, s, t):
+            exts = sorted(linear_extensions(zip_poset(s, t)))
+            return real(exts[(exts.index(pi) + 1) % len(exts)], s, t)
+
+        monkeypatch.setattr(paths, "ext_to_zipper", next_word)
+        res = verify.check_bijections(4)
+        assert res.status == "fail"
+        assert res.detail.startswith("zipper 2x2 (")
+        assert "image" not in res.detail
+
+    def test_image_failure(self, monkeypatch):
+        # every extension roundtrips, but the 2 x 2 words it should cover
+        # include one no extension encodes to
+        real = paths.zippers
+        monkeypatch.setattr(paths, "zippers", lambda s, t: [
+            *real(s, t), *([(2, 2, 1, 1)] if (s, t) == (2, 2) else [])])
+        res = verify.check_bijections(4)
+        assert res == ("bijection roundtrips and images", "fail",
+                       "zipper image 2x2")
 
 
 def _prefixes(word):

@@ -138,6 +138,10 @@ class TestSerialization:
             parse_perm(text)
         assert str(info.value) == f"cannot parse permutation: {text!r}"
 
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_parse_empty_text(self, text):
+        assert parse_perm(text) == ()
+
     @given(random_perms(15))
     def test_roundtrip(self, pi):
         assert parse_perm(format_perm(pi)) == pi

@@ -18,6 +18,8 @@ class TestConstruction:
         assert degree(ONE) == 0
         assert degree((0, 0, 3)) == 2
         assert degree(ZERO) == -1
+        assert degree((1, 2, 0, 0)) == 1
+        assert degree((0, 0)) == -1
 
     def test_monomial(self):
         assert monomial(0) == (1,)
@@ -39,6 +41,10 @@ class TestArithmetic:
     def test_shift(self):
         assert shift((1, 2), 2) == (0, 0, 1, 2)
         assert shift(ZERO, 4) == ZERO
+
+    def test_shift_rejects_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            shift((1, 2), -1)
 
     @given(coeff_lists, coeff_lists)
     def test_mul_evaluates_correctly(self, a, b):
@@ -62,6 +68,9 @@ class TestReversal:
     def test_rejects_too_small_degree(self):
         with pytest.raises(ValueError):
             reverse_on_degree((1, 2, 3), 1)
+        # ZERO has degree -1, so only the sign check refuses d = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            reverse_on_degree(ZERO, -1)
 
 
 class TestPredicates:

@@ -93,6 +93,13 @@ class TestAugmentations:
         assert zip_poset(2, 3).extra_before == frozenset()
         assert zip_poset(5, 1).extra_before == frozenset()
 
+    @pytest.mark.parametrize("s, t, message", [
+        (0, 0, "t must be positive, got 0"), (2, -1, "t must be positive"),
+        (-1, 2, "s must be non-negative, got -1")])
+    def test_saw_rejects_bad_sizes(self, s, t, message):
+        with pytest.raises(ValueError, match=message):
+            saw_poset(s, t)
+
     def test_empty_poset(self):
         assert empty_poset().n == 0
 
@@ -117,6 +124,10 @@ class TestCanonicalize:
         for fam in FAMILIES:
             prob = canonicalize(fam, 2, 3, [(2, 1, 3)])
             assert prob.family in ("EN", "NE")
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown family 'XY'"):
+            canonicalize("XY", 2, 3, [(2, 1, 3)])
 
 
 class TestSpecParsing:

@@ -13,7 +13,8 @@ from lexcount.posets import build, empty_poset
 from test_engine import _patterns, _posets, cyclic_poset
 from lexcount.qstats import (F_poly, catalan_words, conj_1243_rhs,
                              conj_2143_t2_rhs, conj_2143_t3_rhs,
-                             f_coeff_export, maj_q_catalan, q_catalan,
+                             f_coeff_export, maj_conjecture_rhs,
+                             maj_q_catalan, q_catalan,
                              q_catalan_by_words, q_catalan_tilde, q_int,
                              stat_gf, thm61_rhs, thm62_rhs)
 
@@ -135,6 +136,8 @@ class TestClosedForms:
     def test_bad_case_rejected(self):
         with pytest.raises(ValueError):
             thm61_rhs("v", 2)
+        with pytest.raises(ValueError, match="case must be one of"):
+            maj_conjecture_rhs("v", 2)
 
 
 class TestFPoly:
@@ -142,6 +145,10 @@ class TestFPoly:
         assert F_poly(0) == (1,)
         assert F_poly(1) == (1,)
         assert F_poly(2) == (1, 1, 2, 1)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            F_poly(-1)
 
     def test_specializes_to_fibonacci(self):
         for s in range(1, 12):
