@@ -458,6 +458,18 @@ GOLDEN_ARGVS = [
                        "--perm", "3142"], ("plain", "json")),
         ("bijection", ["--poset", "EN:2x2+zip", "--kind", "zipper",
                        "--word", "N1 N2 N1 N2"], ("plain", "json")),
+        # fcpath with teeth of length t = 4, zipper words of s = 4 letters
+        ("bijection", ["--poset", "EN:3x4+saw", "--kind", "fcpath",
+                       "--perm", "9,10,5,1,11,12,6,7,8,2,3,4"],
+         ("plain", "json")),
+        ("bijection", ["--poset", "EN:3x4+saw", "--kind", "fcpath",
+                       "--word", "NNNNNNENENNE"], ("plain", "json")),
+        ("bijection", ["--poset", "EN:4x3+zip", "--kind", "zipper",
+                       "--perm", "10,7,11,12,8,9,4,1,5,2,6,3"],
+         ("plain", "json")),
+        ("bijection", ["--poset", "EN:4x3+zip", "--kind", "zipper",
+                       "--word", "N1 N1 N2 N1 N2 N3 N2 N4 N3 N3 N4 N4"],
+         ("plain", "json")),
         ("verify", ["--suite", "theorems", "--fast"], ("json",)),
         ("verify", ["--suite", "conjectures", "--fast"], ("json",)),
         # refusals and input errors

@@ -16,6 +16,7 @@ from lexcount.transfer import b_matrix
 
 PATH_EXT = (10, 11, 7, 12, 8, 9, 4, 5, 1, 6, 2, 3)
 TAB_EXT = (10, 7, 11, 4, 1, 8, 12, 5, 2, 9, 6, 3)
+SHAPES = [(s, t) for s in range(1, 13) for t in range(1, 13) if s * t <= 12]
 
 
 class TestFussCatalanPaths:
@@ -64,11 +65,11 @@ class TestTableaux:
         assert sum(1 for _ in standard_tableaux(2, 5)) == catalan(5)
 
     def test_images_coincide(self):
-        for s, t in [(2, 2), (3, 2), (2, 4), (3, 3)]:
-            exts = set(linear_extensions(build("EN", s, t)))
-            tabs = set(standard_tableaux(s, t))
-            assert {ext_to_tableau(pi, s, t) for pi in exts} == tabs
-            assert {tableau_to_ext(T) for T in tabs} == exts
+        for s, t in SHAPES:
+            exts = sorted(linear_extensions(build("EN", s, t)))
+            tabs = sorted(standard_tableaux(s, t))
+            assert sorted(ext_to_tableau(pi, s, t) for pi in exts) == tabs
+            assert sorted(tableau_to_ext(T) for T in tabs) == exts
 
     def test_predicate(self):
         assert is_standard_tableau([[1, 2], [3, 4]])
@@ -114,6 +115,10 @@ class TestZippers:
     def test_encoding_rejects_non_extensions(self):
         with pytest.raises(ValueError, match="not a 2143-avoiding"):
             ext_to_zipper((2, 1), 1, 2)
+
+    def test_decoding_rejects_non_zippers(self):
+        with pytest.raises(ValueError, match="not a Catalan zipper"):
+            zipper_to_ext((2, 1, 1, 2), 2, 2)
 
     def test_images_coincide(self):
         for s, t in [(1, 3), (2, 2), (3, 2), (2, 3), (3, 3)]:
@@ -187,11 +192,13 @@ class TestPaths12354:
                 assert enumerate_12354_paths(s, t) == direct, (s, t)
 
     def test_encoding_is_injective_onto_paths(self):
-        s, t = 2, 3
-        exts = list(avoiders(build("EN", s, t), [(1, 2, 3, 5, 4)]))
-        images = {ext_to_12354_path(pi, s, t) for pi in exts}
-        assert len(images) == len(exts)
-        assert images == set(paths_12354(s, t))
+        for s, t in SHAPES:
+            if t < 2:
+                continue
+            exts = list(avoiders(build("EN", s, t), [(1, 2, 3, 5, 4)]))
+            images = {ext_to_12354_path(pi, s, t) for pi in exts}
+            assert len(images) == len(exts), (s, t)
+            assert images == set(paths_12354(s, t)), (s, t)
 
     @pytest.mark.parametrize("pi, s, t, message", [
         ((1,), 1, 1, "t >= 2"), ((1, 2), 2, 1, "t >= 2"),
@@ -199,6 +206,40 @@ class TestPaths12354:
     def test_encoding_rejects_bad_input(self, pi, s, t, message):
         with pytest.raises(ValueError, match=message):
             ext_to_12354_path(pi, s, t)
+
+
+class TestExactMaps:
+    """Which word each extension maps to, on every extension the encoder
+    accepts: the letter at one position is decided by one entry of pi
+    (entry i gives position n - 1 - i of a path, position i of a zipper),
+    and the decoder returns pi."""
+
+    @pytest.mark.parametrize("s, t", SHAPES)
+    def test_fcpath(self, s, t):
+        n = s * t
+        roots = {i * t + 1 for i in range(s)}
+        for pi in linear_extensions(saw_poset(s, t)):
+            w = ext_to_fcpath(pi, s, t)
+            assert w == "".join("E" if pi[n - 1 - p] in roots else "N"
+                                for p in range(n))
+            assert fcpath_to_ext(w, s, t) == pi
+
+    @pytest.mark.parametrize("s, t", SHAPES)
+    def test_zipper(self, s, t):
+        for pi in linear_extensions(zip_poset(s, t)):
+            w = ext_to_zipper(pi, s, t)
+            tooth = [(x - 1) // t + 1 for x in pi]
+            assert w == tuple(s + 1 - k for k in tooth)
+            assert zipper_to_ext(w, s, t) == pi
+
+    @pytest.mark.parametrize("s, t", [(s, t) for s, t in SHAPES if t >= 2])
+    def test_12354_path(self, s, t):
+        n = s * t
+        for pi in linear_extensions(build("EN", s, t)):
+            spine = [t - (x - 1) % t for x in pi]
+            want = ["N2" if k == t else "N1" if k == t - 1 else "E"
+                    for k in spine]
+            assert ext_to_12354_path(pi, s, t) == tuple(reversed(want))
 
 
 class TestCheckBijections:
