@@ -16,7 +16,7 @@ outside their domain.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .engine import is_extension
 from .perms import Perm, perm
@@ -54,8 +54,8 @@ def is_fuss_catalan(w: str, t: int) -> bool:
 
 
 def fc_paths(s: int, t: int) -> Iterator[str]:
-    """All t-Fuss-Catalan paths of semilength s, built independently of
-    the defining predicate by choosing the E positions directly."""
+    """All t-Fuss-Catalan paths of semilength s: every placement of s Es
+    among s * t letters that is_fuss_catalan accepts."""
     n = s * t
     for epos in combinations(range(n), s):
         word = ["N"] * n
@@ -66,38 +66,34 @@ def fc_paths(s: int, t: int) -> Iterator[str]:
             yield w
 
 
+def _fill(word: Iterable, queues: dict) -> Perm:
+    """Hand each letter of word the next element of that letter's queue.
+    Callers validate word first: a queue that ran dry would surface as a
+    RuntimeError, not a ValueError."""
+    heads = {letter: iter(queue) for letter, queue in queues.items()}
+    return tuple(next(heads[letter]) for letter in word)
+
+
 def ext_to_fcpath(pi: Sequence[int], s: int, t: int) -> str:
-    """Encode a sawblade extension as a t-Fuss-Catalan path: the roots
-    (the elements 1, t+1, ..., (s-1)t+1) become Es, at the positions
-    complementary to where the roots sit in pi."""
+    """Encode a sawblade extension as a t-Fuss-Catalan path, one letter per
+    entry of pi read from the right: a root (1, t+1, ..., (s-1)t+1) gives
+    E, any other element N."""
     ext = perm(pi)
     if not is_extension(saw_poset(s, t), ext):
         raise ValueError("not a linear extension of the sawblade poset")
-    n = s * t
-    word = ["N"] * n
-    for i in range(s):
-        root = i * t + 1
-        word[n - (ext.index(root) + 1)] = "E"
-    return "".join(word)
+    return "".join("N" if (x - 1) % t else "E" for x in reversed(ext))
 
 
 def fcpath_to_ext(w: str, s: int, t: int) -> Perm:
-    """Inverse of ext_to_fcpath.  Root positions are read off the Es from
-    the right; roots fill them in decreasing order, and the remaining
-    positions take each tooth's other elements top tooth first."""
-    if len(w) != s * t or not is_fuss_catalan(w, t) or w.count("E") != s:
+    """Inverse of ext_to_fcpath, reading w from the right: its Es take the
+    roots (s-1)t+1, ..., t+1, 1 in turn, and its Ns the other elements of
+    tooth s, then of tooth s-1, and so on down to tooth 1."""
+    if not is_fuss_catalan(w, t) or w.count("E") != s:
         raise ValueError(f"not a {t}-Fuss-Catalan path of semilength {s}")
-    n = s * t
-    out = [0] * n
-    root_positions = sorted(n - 1 - p for p, ch in enumerate(w) if ch == "E")
-    for i, pos in enumerate(root_positions):
-        out[pos] = (s - 1 - i) * t + 1
-    rest = [x for i in range(s - 1, -1, -1) for x in range(i * t + 2, i * t + t + 1)]
-    it = iter(rest)
-    for pos in range(n):
-        if out[pos] == 0:
-            out[pos] = next(it)
-    return tuple(out)
+    teeth = range(s - 1, -1, -1)
+    return _fill(reversed(w), {
+        "E": [i * t + 1 for i in teeth],
+        "N": [x for i in teeth for x in range(i * t + 2, i * t + t + 1)]})
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +141,17 @@ def tableau_to_ext(rows: Sequence[Sequence[int]]) -> Perm:
 def standard_tableaux(s: int, t: int) -> Iterator[Tableau]:
     """All standard tableaux of rectangular shape with s rows of length t,
     generated by placing 1, 2, ... at the frontier of each row."""
-    filled = [0] * s  # how many cells of each row are filled
-
     rows: list[list[int]] = [[] for _ in range(s)]
 
     def rec(k: int) -> Iterator[Tableau]:
         if k > s * t:
             yield tuple(tuple(row) for row in rows)
             return
-        for r in range(s):
-            if filled[r] < t and (r == 0 or filled[r - 1] > filled[r]):
-                filled[r] += 1
-                rows[r].append(k)
+        for r, row in enumerate(rows):
+            if len(row) < t and (r == 0 or len(rows[r - 1]) > len(row)):
+                row.append(k)
                 yield from rec(k + 1)
-                rows[r].pop()
-                filled[r] -= 1
+                row.pop()
 
     return rec(1)
 
@@ -218,25 +210,21 @@ def zippers(s: int, t: int) -> Iterator[ZipperWord]:
 
 
 def ext_to_zipper(pi: Sequence[int], s: int, t: int) -> ZipperWord:
-    """Encode a 2143-avoiding EN extension by replacing each entry with
-    the letter indexed by s + 1 minus its tooth."""
+    """Encode a 2143-avoiding EN extension one letter per entry of pi, in
+    order: an element of tooth k gives N_j with j = s + 1 - k."""
     ext = perm(pi)
     if not is_extension(zip_poset(s, t), ext):
         raise ValueError("not a 2143-avoiding extension of the EN grid")
-    return tuple(s + 1 - ((x - 1) // t + 1) for x in ext)
+    return tuple(s - (x - 1) // t for x in ext)
 
 
 def zipper_to_ext(w: Sequence[int], s: int, t: int) -> Perm:
-    """Inverse of ext_to_zipper: the positions of N_k receive the elements
-    of tooth s + 1 - k in increasing order."""
+    """Inverse of ext_to_zipper: each N_j of w takes the next element of
+    tooth s + 1 - j, in increasing order."""
     if not is_zipper(w, s, t):
         raise ValueError(f"not a Catalan zipper of dimension {s}, length {t}")
-    nxt = {j: (s - j) * t + 1 for j in range(1, s + 1)}
-    out = []
-    for letter in w:
-        out.append(nxt[letter])
-        nxt[letter] += 1
-    return tuple(out)
+    return _fill(w, {j: range((s - j) * t + 1, (s - j + 1) * t + 1)
+                     for j in range(1, s + 1)})
 
 
 def format_zipper(w: Sequence[int]) -> str:
@@ -244,9 +232,8 @@ def format_zipper(w: Sequence[int]) -> str:
 
 
 def parse_zipper(text: str) -> ZipperWord:
-    toks = text.split()
     out = []
-    for tok in toks:
+    for tok in text.split():
         if not tok.startswith("N") or not tok[1:].isdigit():
             raise ValueError(f"bad zipper letter {tok!r}")
         out.append(int(tok[1:]))
@@ -322,20 +309,12 @@ def enumerate_12354_paths(s: int, t: int) -> int:
 
 
 def ext_to_12354_path(pi: Sequence[int], s: int, t: int) -> tuple[str, ...]:
-    """Encode a 12354-avoiding EN extension: spine-t elements become N2s,
-    spine-(t-1) elements N1s, the rest Es, at position-complemented slots
-    (mirroring the Fuss-Catalan encoding)."""
+    """Encode a 12354-avoiding EN extension one letter per entry of pi read
+    from the right, as ext_to_fcpath does: an element on spine t (x = 1
+    mod t) gives N2, one on spine t - 1 (x = 2 mod t) N1, any other E."""
     ext = perm(pi)
     if t < 2:
         raise ValueError("defined for t >= 2 only")
     if not is_extension(build("EN", s, t), ext):
         raise ValueError("not a linear extension of the EN grid")
-    n = s * t
-    word = ["E"] * n
-    for x in ext:
-        spine = t - ((x - 1) % t)
-        if spine == t:
-            word[n - (ext.index(x) + 1)] = "N2"
-        elif spine == t - 1:
-            word[n - (ext.index(x) + 1)] = "N1"
-    return tuple(word)
+    return tuple(("N2", "N1", "E")[min((x - 1) % t, 2)] for x in reversed(ext))
