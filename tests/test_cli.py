@@ -699,7 +699,8 @@ class TestRobustness:
         for cmd, extra in [("count", []), ("list", []), ("qpoly", []),
                            ("bijection", ["--kind", "tableau", "--perm", "1"])]
         for spec in ("EN:99999999999999999999x1", "NW:3x3074457345618258603")
-    ] + [["count", "--poset", "EN:99999999999999999999x2+zip"]])
+    ] + [["count", "--poset", f"EN:99999999999999999999x2+{tag}"]
+         for tag in ("zip", "saw")])
     def test_poset_beyond_an_index(self, run, argv):
         # s*t does not fit an index: refused before anything is allocated
         code, out, err = run(*argv)

@@ -6,6 +6,29 @@ from lexcount.posets import (FAMILIES, CanonicalProblem, GridPoset, build,
                              saw_poset, zip_poset)
 from lexcount.verify import CheckResult
 
+# The module docstring's table: family -> (label convention, whether (s, t)
+# swap, whether the order is reversed)
+DOCSTRING_TABLE = {
+    "EN": ("EN", False, False), "NE": ("NE", False, False),
+    "WN": ("EN", True, False), "NW": ("NE", True, False),
+    "WS": ("EN", False, True), "ES": ("EN", True, True),
+    "SW": ("NE", False, True), "SE": ("NE", True, True)}
+
+
+def docstring_order(family, s, t):
+    """Every pair (a, b) with a before b, written out from the label
+    formulas: (i, j) precedes (i', j') when i >= i' and j >= j'."""
+    labels, swapped, dual = DOCSTRING_TABLE[family]
+    gs, gt = (t, s) if swapped else (s, t)
+    label = {(i, j): i * gt - j + 1 if labels == "EN" else (i - 1) * gt + j
+             for i in range(1, gs + 1) for j in range(1, gt + 1)}
+    order = {(label[c], label[d]) for c in label for d in label
+             if c != d and c[0] >= d[0] and c[1] >= d[1]}
+    return {(b, a) for a, b in order} if dual else order
+
+
+SMALL_SHAPES = [(s, t) for s in range(1, 5) for t in range(1, 5)]
+
 
 class TestLabels:
     def test_en_labels(self):
@@ -67,6 +90,26 @@ class TestOrder:
         count = lambda p: sum(p.must_precede(a, b)
                               for a in range(1, 7) for b in range(1, 7))
         assert count(en) == count(wn)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_follows_the_docstring_rule(self, family):
+        for s, t in SMALL_SHAPES:
+            p = build(family, s, t)
+            order = docstring_order(family, s, t)
+            assert {(a, b) for a in range(1, s * t + 1)
+                    for b in range(1, s * t + 1)
+                    if p.must_precede(a, b)} == order
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_direct_preds_are_the_covers(self, family):
+        for s, t in SMALL_SHAPES:
+            order = docstring_order(family, s, t)
+            covers = {(a, b) for a, b in order
+                      if not any((a, c) in order and (c, b) in order
+                                 for c in range(1, s * t + 1))}
+            p = build(family, s, t)
+            assert {(a, b) for b in range(1, s * t + 1)
+                    for a in p.direct_preds[b - 1]} == covers
 
     def test_bad_family(self):
         with pytest.raises(ValueError):
