@@ -41,21 +41,16 @@ class _GridFields(NamedTuple):
     family: str
     s: int
     t: int
-    grid_s: int
-    grid_t: int
-    coords: tuple[tuple[int, int], ...]
     extra_before: frozenset[tuple[int, int]] = frozenset()
-    dualized: bool = False
     tag: str = ""
 
 
 class GridPoset(_GridFields):
     """A labeled grid order, possibly with extra precedence constraints.
 
-    ``coords[x - 1]`` is the (tooth, spine) pair of element x relative to
-    the internal grid of ``grid_s`` teeth and ``grid_t`` spines.
-    ``extra_before`` holds pairs (a, b): a must precede b beyond the grid
-    order.  ``dualized`` means the grid order is reversed.
+    The order is the EN or NE grid that ``canonicalize`` reduces the
+    family to, reversed for a dual family.  ``extra_before`` holds pairs
+    (a, b): a must precede b beyond the grid order.
 
     An immutable value compared and hashed by its fields, which it keeps
     in a ``NamedTuple`` base.  Not a dataclass: ``dataclasses`` (with the
@@ -69,23 +64,24 @@ class GridPoset(_GridFields):
 
     @property
     def n(self) -> int:
-        return self.grid_s * self.grid_t
+        return self.s * self.t
 
     @cached_property
     def direct_preds(self) -> tuple[frozenset[int], ...]:
         """For each element, the elements that must come directly before it
-        (grid covers plus extra_before pairs)."""
-        preds: list[set[int]] = [set() for _ in range(self.n)]
-        lab = {c: x + 1 for x, c in enumerate(self.coords)}
-        for x, (i, j) in enumerate(self.coords, start=1):
-            # grid covers: (i, j) is covered by (i-1, j) and (i, j-1)
-            for i2, j2 in ((i - 1, j), (i, j - 1)):
-                if (i2, j2) in lab:
-                    a, b = x, lab[(i2, j2)]
-                    if self.dualized:
-                        a, b = b, a
-                    preds[b - 1].add(a)
-        for a, b in self.extra_before:
+        (grid covers plus extra_before pairs).  On the grid with t spines
+        (after the swap), x precedes x - t on the tooth below, and its
+        neighbour toward spine 1 on its own tooth: x + 1 on EN, x - 1 on
+        NE."""
+        grid, _, t, _ = canonicalize(self.family, self.s, self.t)
+        n = self.n
+        along = [(x, x + 1) if grid == "EN" else (x + 1, x)
+                 for x in range(1, n) if x % t]
+        pairs = [(x, x - t) for x in range(t + 1, n + 1)] + along
+        if self.family in _DUAL:
+            pairs = [(b, a) for a, b in pairs]
+        preds: list[set[int]] = [set() for _ in range(n)]
+        for a, b in (*pairs, *self.extra_before):
             preds[b - 1].add(a)
         return tuple(frozenset(p) for p in preds)
 
@@ -136,15 +132,6 @@ class GridPoset(_GridFields):
         return f"{self.family}:{self.s}x{self.t}{suffix}"
 
 
-def _grid_coords(gs: int, gt: int, ne: bool) -> tuple[tuple[int, int], ...]:
-    coords: list[tuple[int, int] | None] = [None] * (gs * gt)
-    for i in range(1, gs + 1):
-        for j in range(1, gt + 1):
-            x = (i - 1) * gt + j if ne else i * gt - j + 1
-            coords[x - 1] = (i, j)
-    return tuple(coords)  # type: ignore[arg-type]
-
-
 def build(family: str, s: int, t: int) -> GridPoset:
     """Construct one of the eight rectangular posets on [s*t]."""
     if family not in FAMILIES:
@@ -153,10 +140,7 @@ def build(family: str, s: int, t: int) -> GridPoset:
         raise ValueError(f"dimensions must be positive, got s={s}, t={t}")
     if s * t > maxsize:
         raise ValueError(f"too many elements, got s={s}, t={t}")
-    gs, gt = (t, s) if family in _SWAPPED else (s, t)
-    coords = _grid_coords(gs, gt, ne=family in _NE_BASED)
-    return GridPoset(family=family, s=s, t=t, grid_s=gs, grid_t=gt,
-                     coords=coords, dualized=family in _DUAL)
+    return GridPoset(family, s, t)
 
 
 def saw_poset(s: int, t: int) -> GridPoset:
@@ -164,20 +148,16 @@ def saw_poset(s: int, t: int) -> GridPoset:
 
     Its linear extensions are exactly the 1243-avoiding extensions of the
     EN grid.  s = 0 gives the empty poset (one empty extension).  For
-    t = 1 the extra pairs degenerate to self-loops and every extension of
-    the chain avoids 1243 anyway, so the plain chain is returned.
+    t = 1 the pairs would be self-loops, and every extension of the chain
+    avoids 1243 anyway, so it is the chain with no pairs, tagged "saw".
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if s < 0:
         raise ValueError(f"s must be non-negative, got {s}")
-    if s == 0:
-        return GridPoset(family="EN", s=0, t=t, grid_s=0, grid_t=t,
-                         coords=(), tag="saw")
-    base = build("EN", s, t)
-    if t == 1:
-        return base
-    extra = frozenset(((j + 1) * t, (j - 1) * t + 2) for j in range(1, s))
+    base = build("EN", s, t) if s else GridPoset("EN", 0, t)
+    extra = frozenset(((j + 1) * t, (j - 1) * t + 2)
+                      for j in range(1, s)) if t > 1 else frozenset()
     return base._replace(extra_before=extra, tag="saw")
 
 
@@ -185,17 +165,17 @@ def zip_poset(s: int, t: int) -> GridPoset:
     """EN grid plus the pairs (jt before (j-3)t+1), 3 <= j <= s.
 
     Its linear extensions are exactly the 2143-avoiding extensions of the
-    EN grid.  For t = 1 the plain chain is returned unchanged.
+    EN grid.  For t = 1 the pairs would repeat the chain's order, so it is
+    the chain with no pairs, tagged "zip".
     """
     base = build("EN", s, t)
-    if t == 1:
-        return base
-    extra = frozenset((j * t, (j - 3) * t + 1) for j in range(3, s + 1))
+    extra = frozenset((j * t, (j - 3) * t + 1)
+                      for j in range(3, s + 1)) if t > 1 else frozenset()
     return base._replace(extra_before=extra, tag="zip")
 
 
 def empty_poset() -> GridPoset:
-    return GridPoset(family="EN", s=0, t=1, grid_s=0, grid_t=1, coords=())
+    return GridPoset("EN", 0, 1)
 
 
 class CanonicalProblem(NamedTuple):

@@ -73,6 +73,15 @@ class TestCount:
         assert code == 0
         assert out.splitlines()[0] == "55"
 
+    @pytest.mark.parametrize("spec", ["EN:1x3+saw", "EN:4x1+saw",
+                                      "EN:3x1+zip"])
+    def test_augmented_poset_echo(self, run, spec):
+        # the echo is the spec as given, tag included, t = 1 too
+        code, out, _ = run("count", "--poset", spec, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"value": 1, "route": "ideal-dp",
+                                   "poset": spec, "patterns": []}
+
     def test_augmented_poset_past_oracle_guard(self, run):
         # 36 elements: beyond ORACLE_GUARD, answered by the DP alone
         code, out, _ = run("count", "--poset", "EN:6x6+saw")
@@ -340,7 +349,10 @@ class TestBijection:
         ("EN:2x2", "fcpath", ("--word", "NENE")),
         ("EN:2x2+zip", "fcpath", ("--perm", "3412")),
         ("WN:2x2", "zipper", ("--word", "N1 N2 N1 N2")),
-        ("EN:3x2+saw", "zipper", ("--perm", "563412"))])
+        ("EN:3x2+saw", "zipper", ("--perm", "563412")),
+        ("EN:1x3+saw", "tableau", ("--perm", "123")),
+        ("EN:3x1+saw", "tableau", ("--perm", "321")),
+        ("EN:3x1+zip", "fcpath", ("--perm", "321"))])
     def test_kind_fixes_the_poset(self, run, poset, kind, given):
         code, out, err = run("bijection", "--poset", poset, "--kind", kind,
                              *given)

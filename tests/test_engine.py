@@ -23,9 +23,7 @@ def brute_avoiders(poset, patterns):
 
 
 def cyclic_poset():
-    base = build("EN", 2, 2)
-    return GridPoset(family="EN", s=2, t=2, grid_s=2, grid_t=2,
-                     coords=base.coords,
+    return GridPoset(family="EN", s=2, t=2,
                      extra_before=frozenset({(1, 2), (2, 1)}))
 
 

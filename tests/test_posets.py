@@ -32,23 +32,21 @@ SMALL_SHAPES = [(s, t) for s in range(1, 5) for t in range(1, 5)]
 
 class TestLabels:
     def test_en_labels(self):
-        # EN 2x3: tooth i, spine j carries label i*t - j + 1
-        p = build("EN", 2, 3)
-        assert p.coords[1 - 1] == (1, 3)
-        assert p.coords[3 - 1] == (1, 1)
-        assert p.coords[4 - 1] == (2, 3)
-        assert p.coords[6 - 1] == (2, 1)
+        # EN 2x3: tooth i, spine j carries label i*t - j + 1, so tooth 1 is
+        # 1, 2, 3 from spine 3 down, and each x precedes x - 3 and x + 1
+        assert build("EN", 2, 3).direct_preds == (
+            {4}, {1, 5}, {2, 6}, set(), {4}, {5})
 
     def test_ne_labels(self):
-        p = build("NE", 2, 3)
-        assert p.coords[1 - 1] == (1, 1)
-        assert p.coords[3 - 1] == (1, 3)
-        assert p.coords[4 - 1] == (2, 1)
+        # NE: label (i - 1)*t + j; each x precedes x - 3 and x - 1
+        assert build("NE", 2, 3).direct_preds == (
+            {2, 4}, {3, 5}, {6}, {5}, {6}, set())
 
     def test_tooth_and_spine(self):
-        p = build("EN", 4, 3)
-        assert p.coords[7 - 1] == (3, 3)
-        assert p.coords[1 - 1][0] == 1
+        # tooth 3 of EN 4x3 is 7, 8, 9, spine 3 down to 1
+        assert build("EN", 4, 3).direct_preds == (
+            {4}, {1, 5}, {2, 6}, {7}, {4, 8}, {5, 9},
+            {10}, {7, 11}, {8, 12}, set(), {10}, {11})
 
     def test_out_of_range(self):
         p = build("EN", 2, 2)
@@ -131,10 +129,13 @@ class TestAugmentations:
 
     def test_degenerate_sizes(self):
         assert saw_poset(0, 3).n == 0
-        assert saw_poset(1, 4).extra_before == frozenset()
-        assert saw_poset(3, 1).extra_before == frozenset()
-        assert zip_poset(2, 3).extra_before == frozenset()
-        assert zip_poset(5, 1).extra_before == frozenset()
+        # no pairs, but the tag stays, t = 1 included
+        for p, tag in [(saw_poset(0, 3), "saw"), (saw_poset(1, 4), "saw"),
+                       (saw_poset(3, 1), "saw"), (zip_poset(2, 3), "zip"),
+                       (zip_poset(5, 1), "zip")]:
+            assert (p.extra_before, p.tag) == (frozenset(), tag)
+        assert saw_poset(3, 1).spec_string() == "EN:3x1+saw"
+        assert zip_poset(5, 1) != build("EN", 5, 1)
 
     @pytest.mark.parametrize("s, t, message", [
         (0, 0, "t must be positive, got 0"), (2, -1, "t must be positive"),
@@ -207,10 +208,7 @@ class TestRecords:
         en = build("EN", 3, 4)
         assert en != saw_poset(3, 4)
         assert en != build("WS", 3, 4)
-        fields = dict(family="EN", s=3, t=4, grid_s=3, grid_t=4,
-                      coords=en.coords)
-        assert GridPoset(**fields) == en
-        assert GridPoset(**fields, dualized=True) != en
+        assert GridPoset(family="EN", s=3, t=4) == en
         assert en != (en.family, en.s, en.t)
 
     def test_cached_properties_are_computed_once(self):
@@ -242,8 +240,7 @@ class TestRecords:
         base.direct_preds  # a cached table on the base grid
         p = make(s, t)
         assert type(p) is GridPoset
-        by_field = GridPoset(family="EN", s=s, t=t, grid_s=s, grid_t=t,
-                             coords=base.coords,
+        by_field = GridPoset(family="EN", s=s, t=t,
                              extra_before=frozenset(extra), tag=tag)
         assert p == by_field and hash(p) == hash(by_field)
         assert "direct_preds" not in base._replace(tag=tag).__dict__
@@ -257,6 +254,8 @@ class TestRecords:
         assert "family='EN'" in text and "tag='saw'" in text
 
     def test_small_records_keep_their_fields(self):
+        assert GridPoset._fields == ("family", "s", "t", "extra_before",
+                                     "tag")
         assert CanonicalProblem._fields == ("family", "s", "t", "patterns")
         assert CanonicalProblem("EN", 2, 3).patterns == frozenset()
         assert FormulaResult._fields == ("value", "provenance")
