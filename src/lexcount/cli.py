@@ -8,13 +8,14 @@ cross-route disagreement.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
-from . import formulas, paths, qstats, transfer, verify
+from . import formulas, qstats, transfer
 from .engine import (count_avoiders, count_extensions, format_avoiders,
                      listing)
 from .perms import descents, format_perm, parse_perm
@@ -154,6 +155,7 @@ def cmd_qpoly(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
+    from . import paths  # imported here, so other commands skip its load
     poset, _, payload = _read(args)
     s, t = poset.s, poset.t
     # each kind encodes the extensions of one poset
@@ -210,6 +212,7 @@ def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    from . import verify  # imported here, so other commands skip its load
     if args.suite == "theorems":
         results = verify.theorem_checks(fast=args.fast)
     else:
@@ -381,6 +384,18 @@ def _emit(text: str) -> bool:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    With argv None, main runs the process: the `lexcount` script and
+    `python -m lexcount` call it so, and it reads sys.argv.  It then
+    first freezes every object the collector tracks (gc.freeze), so that
+    neither the collections during the command nor those at interpreter
+    shutdown walk the thousands of objects that site set-up and the
+    imports left behind.  A caller that passes argv, such as a test or a
+    tracer, owns its process: main leaves its collector alone, so a test
+    run never builds up a permanent generation."""
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -17,12 +18,11 @@ from lexcount.posets import FAMILIES
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def fresh(*args, **kwargs) -> subprocess.CompletedProcess:
+def fresh(*args, text: bool = True) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports lexcount from this checkout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=60,
-                          **kwargs)
+                          capture_output=True, text=text, timeout=60)
 
 
 @pytest.fixture
@@ -499,6 +499,26 @@ GOLDEN_ARGVS = [
     ] for fmt in (["--format", f] if f != "plain" else [] for f in formats)]
 
 
+# replayed through a fresh `python -m lexcount` as well: every subcommand,
+# with exit codes 0, 1 and 2
+FRESH_GOLDEN = {
+    "count --poset EN:4x3 --avoid 1243",
+    "count --poset EN:3x4+zip --format csv",
+    "list --poset EN:4x3 --avoid 1243 --format json",
+    "table --family NE --avoid 123 --max-s 3 --max-t 9",
+    "qpoly --poset NE:3x2 --avoid 123 --stat maj --format csv",
+    "charpoly --t 5 --format json",
+    f"bijection --poset EN:4x3+saw --kind fcpath --perm {FCPERM}",
+    "bijection --poset EN:2x2+zip --kind zipper --word N1 N2 N1 N2 "
+    "--format json",
+    "verify --suite conjectures --fast --format json",
+    "list --poset EN:6x6",
+    "count --poset EN:4y3 --format json",
+    "qpoly --poset EN:2x2 --avoid 122 --format csv",
+}
+FRESH_ARGVS = [a for a in GOLDEN_ARGVS if " ".join(a) in FRESH_GOLDEN]
+
+
 class TestGolden:
     @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
     def test_output_is_golden(self, capsys, argv):
@@ -508,6 +528,21 @@ class TestGolden:
         code = main(argv)
         out, err = capsys.readouterr()
         assert {"code": code, "stdout": out, "stderr": err} == want
+
+    @pytest.mark.parametrize("argv", FRESH_ARGVS, ids=" ".join)
+    def test_fresh_process_is_golden(self, argv):
+        """The same bytes from a process of its own, which main runs and
+        which exits through the interpreter's shutdown."""
+        want = json.loads(GOLDEN_CLI.read_text())[" ".join(argv)]
+        r = fresh("-m", "lexcount", *argv, text=False)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            want["code"], want["stdout"].encode(), want["stderr"].encode())
+
+    def test_fresh_sample_covers_every_subcommand_and_code(self):
+        golden = json.loads(GOLDEN_CLI.read_text())
+        assert len(FRESH_ARGVS) == len(FRESH_GOLDEN)
+        assert {a[0] for a in FRESH_ARGVS} == {a[0] for a in GOLDEN_ARGVS}
+        assert {golden[" ".join(a)]["code"] for a in FRESH_ARGVS} == {0, 1, 2}
 
 
 class TestCache:
@@ -609,7 +644,8 @@ class TestProcess:
         added = (self.modules_after("import lexcount.cli")
                  - self.modules_after("pass"))
         assert "lexcount.cli" in added
-        assert not added & {"dataclasses", "inspect", "hashlib"}
+        assert not added & {"dataclasses", "inspect", "hashlib",
+                            "lexcount.verify", "lexcount.paths"}
 
     def test_cache_in_a_fresh_process(self, tmp_path):
         argv = ("-m", "lexcount", "--cache-dir", str(tmp_path), "count",
@@ -641,6 +677,34 @@ class TestProcess:
         assert first.count(",") == 19
         assert "Traceback" not in err
         assert code == 1
+
+
+class TestFreeze:
+    """main freezes the collector's start-up objects only when it runs
+    the process."""
+
+    # a program that calls main() the way the lexcount script does, and
+    # reports the freeze count before and after it on stderr
+    PROGRAM = ("import gc, sys; from lexcount.cli import main; "
+               "before = gc.get_freeze_count(); code = main(); "
+               "print(before, gc.get_freeze_count() > 0, file=sys.stderr); "
+               "sys.exit(code)")
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--poset", "EN:4x3", "--avoid", "1243"],
+        ["count", "--poset", "EN:4y3"],
+    ])
+    def test_program_path_freezes(self, capsys, argv):
+        r = fresh("-c", self.PROGRAM, *argv)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (r.returncode, r.stdout, r.stderr) == (
+            code, out, err + "0 True\n")
+
+    def test_argv_leaves_the_collector_alone(self, run):
+        before = gc.get_freeze_count()
+        assert run("count", "--poset", "EN:2x2")[0] == 0
+        assert gc.get_freeze_count() == before
 
 
 class TestUsage:
