@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -25,6 +26,12 @@ def brute_avoiders(poset, patterns):
 def cyclic_poset():
     return GridPoset(family="EN", s=2, t=2,
                      extra_before=frozenset({(1, 2), (2, 1)}))
+
+
+def cyclic_posets():
+    """The two-element cycle above, and the self-loop 2 before 2."""
+    return [cyclic_poset(),
+            GridPoset(family="EN", s=2, t=2, extra_before=frozenset({(2, 2)}))]
 
 
 SHAPES = [(1, 1), (1, 4), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
@@ -65,8 +72,11 @@ class TestEnumeration:
         assert not is_extension(build("EN", 2, 2), (3, 1, 4, 2, 5))
 
     def test_cycle_detected_eagerly(self):
-        with pytest.raises(ValueError, match="cycle"):
-            avoiders(cyclic_poset(), [])
+        for poset in cyclic_posets():
+            with pytest.raises(ValueError, match="cycle"):
+                avoiders(poset, [])
+            with pytest.raises(ValueError, match="cycle"):
+                poset.must_precede(1, 2)
 
 
 class TestPatternPruning:
@@ -146,10 +156,11 @@ class TestAvoiderDP:
         assert count_avoiders(build("NE", 1, 1), [(1,), (2, 1)]) == 0
 
     def test_cycle_detected(self):
-        with pytest.raises(ValueError, match="cycle"):
-            count_avoiders(cyclic_poset(), [(1, 2, 3)])
-        with pytest.raises(ValueError, match="cycle"):
-            count_extensions(cyclic_poset())
+        for poset in cyclic_posets():
+            with pytest.raises(ValueError, match="cycle"):
+                count_avoiders(poset, [(1, 2, 3)])
+            with pytest.raises(ValueError, match="cycle"):
+                count_extensions(poset)
 
     def test_bad_pattern(self):
         with pytest.raises(ValueError, match="not a permutation"):
@@ -201,6 +212,44 @@ def states_built(poset, patterns):
     return len(states)
 
 
+def one_extra_pair():
+    """EN:3x4 with 1 before 12 as well: the pair points across the whole
+    grid, 341 extensions of the 462."""
+    return GridPoset("EN", 3, 4, frozenset({(1, 12)}))
+
+
+class TestPinnedOutputs:
+    """Exact outputs on posets with more than the two grid offsets, a dual
+    family and an arbitrary extra pair: the DP's state count, the lines of
+    `list` (in the order backtracking gives, and as a digest of the text)
+    and both q-polynomials as sums over those extensions."""
+
+    CASES = [
+        (saw_poset(4, 3), [], 24, 55, "b47b911d4e2b8343"),
+        (saw_poset(4, 3), [(2, 4, 1, 3)], 39, 17, "032d4c3b738b6525"),
+        (zip_poset(5, 4), [], 44, 9841, "b2bd472618518109"),
+        (zip_poset(5, 4), [(1, 3, 2, 4)], 95, 1705, "d10293acc8b76d5f"),
+        (build("WS", 3, 4), [], 34, 462, "bd4781fa47afe6f6"),
+        (build("WS", 3, 4), [(3, 1, 4, 2)], 70, 61, "8f3b43c89190c120"),
+        (one_extra_pair(), [], 29, 341, "0d6f30fb3aba0bad"),
+        (one_extra_pair(), [(2, 4, 1, 3)], 41, 34, "0f45260de16ce44d")]
+
+    @pytest.mark.parametrize("poset, patterns, states, count, digest", CASES)
+    def test_outputs(self, poset, patterns, states, count, digest):
+        assert states_built(poset, patterns) == states
+        exts = list(avoiders(poset, patterns))
+        lines = format_avoiders(poset, patterns)
+        assert lines == [format_perm(pi) for pi in exts]
+        assert len(lines) == count
+        text = "\n".join(lines).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
+        for name, stat in (("inv", inv), ("maj", maj)):
+            coeffs = [0] * (max(map(stat, exts)) + 1)
+            for pi in exts:
+                coeffs[stat(pi)] += 1
+            assert stat_gf(poset, patterns, name) == tuple(coeffs)
+
+
 class TestListAvoiders:
     """list_avoiders (walk of the DP's state graph) against avoiders
     (plain backtracking), order included."""
@@ -240,8 +289,9 @@ class TestListAvoiders:
         assert list(list_avoiders(build("NE", 1, 1), [(1,), (2, 1)])) == []
 
     def test_cycle_detected_eagerly(self):
-        with pytest.raises(ValueError, match="cycle"):
-            list_avoiders(cyclic_poset(), [(1, 2, 3)])
+        for poset in cyclic_posets():
+            with pytest.raises(ValueError, match="cycle"):
+                list_avoiders(poset, [(1, 2, 3)])
 
     def test_bad_pattern(self):
         with pytest.raises(ValueError, match="not a permutation"):
