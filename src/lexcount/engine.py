@@ -12,11 +12,11 @@ and Vatter's enumeration schemes); that of `listing` describes the
 backward prune and the block walk.
 
 `avoiders` is the independent reference the DP is tested against: a
-backtracking generator that tries the available elements in increasing
-label order and prunes a branch as soon as the prefix contains a
-forbidden pattern.  Since a contained pattern can never be destroyed by
-appending, it tests only occurrences that end at the newly placed
-element.
+backtracking generator that tries the elements `GridPoset.ready` gives
+for the placed set, lowest label first, and prunes a branch as soon as
+the prefix contains a forbidden pattern.  Since a contained pattern can
+never be destroyed by appending, it tests only occurrences that end at
+the newly placed element.
 """
 from __future__ import annotations
 
@@ -48,32 +48,26 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
         return iter(())  # the empty pattern is contained in everything
     matchers = [ending_matcher(perm(p)) for p in sorted(patset)]
     poset._closure  # noqa: B018 -- topological sort; raises on a cycle
-    indeg = [len(p) for p in poset.direct_preds]
-    succs = poset.succs
 
     prefix: list[int] = []
 
-    def rec() -> Iterator[Perm]:
+    def rec(placed: int) -> Iterator[Perm]:
         k = len(prefix)
         if k == n:
             yield tuple(prefix)
             return
-        for x in range(1, n + 1):
-            if indeg[x - 1] != 0:
-                continue
+        ready = poset.ready(placed)
+        while ready:
+            bit = ready & -ready
+            ready ^= bit
+            x = bit.bit_length()
             if any(ends_at(prefix, k, x) for ends_at in matchers):
                 continue
-            indeg[x - 1] = -1
-            for y in succs[x - 1]:
-                indeg[y - 1] -= 1
             prefix.append(x)
-            yield from rec()
+            yield from rec(placed | bit)
             prefix.pop()
-            for y in succs[x - 1]:
-                indeg[y - 1] += 1
-            indeg[x - 1] = 0
 
-    return rec()
+    return rec(0)
 
 
 def list_avoiders(poset: GridPoset,
@@ -255,7 +249,8 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     x, r, k) to add its weight to layer k + 1, nxt, under that key or one
     of the edge's own, which may use the mask bits above n.
 
-    A state is (mask of placed elements, id of a set of partial matches).
+    A state is (mask of placed elements, id of a set of partial matches),
+    and places the elements of `GridPoset.ready(mask)`, lowest first.
     A match (i, gaps) of length L maps sigma_i[:L] into the prefix, and
     gaps[q] is the number of unplaced values below the value matched to
     sigma_i[q].  A value with r unplaced values below it lies above exactly
@@ -304,8 +299,6 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     """
     pats = sorted({perm(p) for p in patterns})
     n = poset.n
-    pred_masks = [sum(1 << (a - 1) for a in preds)
-                  for preds in poset.direct_preds]
     full = (1 << n) - 1
     plan = [[_slot_plan(sig, L) for L in range(len(sig))] for sig in pats]
 
@@ -433,10 +426,11 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
         for (mask, sid), ways in layer.items():
             free = full & ~mask
             row = after[sid]
-            for x in range(n):
-                bit = 1 << x
-                if not free & bit or pred_masks[x] & ~mask:
-                    continue
+            ready = poset.ready(mask)
+            while ready:
+                bit = ready & -ready
+                ready ^= bit
+                x = bit.bit_length() - 1
                 r = (free & (bit - 1)).bit_count()
                 move = row[r]
                 if move is None:

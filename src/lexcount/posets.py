@@ -86,37 +86,45 @@ class GridPoset(_GridFields):
         return tuple(frozenset(p) for p in preds)
 
     @cached_property
-    def succs(self) -> tuple[tuple[int, ...], ...]:
-        """For each element, in increasing order, the elements that must
-        come directly after it: the inverse of ``direct_preds``."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
+    def _offsets(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (a, b) of ``direct_preds`` grouped by offset d = a - b:
+        one (d, mask) per offset, bit b - 1 of mask set when b has a
+        predecessor at b + d.  A grid has two offsets; each extra pair adds
+        at most one."""
+        masks: dict[int, int] = {}
         for b, preds in enumerate(self.direct_preds, start=1):
             for a in preds:
-                out[a - 1].append(b)
-        return tuple(tuple(s) for s in out)
+                masks[a - b] = masks.get(a - b, 0) | 1 << (b - 1)
+        return tuple(masks.items())
+
+    def ready(self, placed: int) -> int:
+        """The elements that may come next once the elements of placed
+        are: those not placed whose direct predecessors all are.  Both are
+        masks in which element x is bit x - 1; bits of placed at n and
+        above are ignored."""
+        ready = ~placed & ((1 << self.n) - 1)
+        for d, mask in self._offsets:
+            ready &= ~mask | (placed >> d if d > 0 else placed << -d)
+        return ready
 
     @cached_property
-    def _closure(self) -> tuple[frozenset[int], ...]:
-        """ancestors[x-1]: all elements that must precede x, filled in
-        topological order; raises ValueError on a cycle."""
-        indeg = [len(p) for p in self.direct_preds]
-        ready = [x for x in range(1, self.n + 1) if indeg[x - 1] == 0]
-        anc: list[set[int]] = [set() for _ in range(self.n)]
+    def _closure(self) -> tuple[int, ...]:
+        """ancestors[x-1]: the mask of all elements that must precede x,
+        filled one ``ready`` set at a time; raises ValueError on a cycle."""
+        anc = [0] * self.n
         placed = 0
-        while ready:
-            x = ready.pop()
-            placed += 1
-            acc = anc[x - 1]
-            for p in self.direct_preds[x - 1]:
-                acc.add(p)
-                acc |= anc[p - 1]
-            for y in self.succs[x - 1]:
-                indeg[y - 1] -= 1
-                if indeg[y - 1] == 0:
-                    ready.append(y)
-        if placed != self.n:
-            raise ValueError("precedence constraints contain a cycle")
-        return tuple(frozenset(a) for a in anc)
+        while placed != (1 << self.n) - 1:
+            layer = self.ready(placed)
+            if not layer:
+                raise ValueError("precedence constraints contain a cycle")
+            placed |= layer
+            while layer:
+                bit = layer & -layer
+                layer ^= bit
+                x = bit.bit_length() - 1
+                for p in self.direct_preds[x]:
+                    anc[x] |= anc[p - 1] | 1 << (p - 1)
+        return tuple(anc)
 
     def must_precede(self, a: int, b: int) -> bool:
         """Strict precedence in the transitive closure.  The engines read
@@ -125,7 +133,7 @@ class GridPoset(_GridFields):
         for x in (a, b):
             if not 1 <= x <= self.n:
                 raise ValueError(f"element {x} out of range 1..{self.n}")
-        return a in self._closure[b - 1]
+        return bool(self._closure[b - 1] >> (a - 1) & 1)
 
     def spec_string(self) -> str:
         suffix = f"+{self.tag}" if self.tag else ""

@@ -53,8 +53,6 @@ def a_vector(t: int, s: int) -> tuple[int, ...]:
 
 def count_2143(s: int, t: int) -> int:
     """|EN_{s,t}(2143)|, exactly."""
-    if t == 1:
-        return 1
     return sum(a_vector(t, s))
 
 

@@ -116,6 +116,45 @@ class TestOrder:
             build("EN", 0, 2)
 
 
+UP_TO_12 = [(s, t) for s in range(1, 13) for t in range(1, 12 // s + 1)]
+
+
+def assert_ready_everywhere(p):
+    """ready(mask) is {x not in mask : direct_preds[x-1] within mask} for
+    every mask, and bits at n and above change nothing."""
+    n = p.n
+    preds = [sum(1 << (a - 1) for a in ps) for ps in p.direct_preds]
+    above = ((1 << (n + 3)) - 1) << n
+    for mask in range(1 << n):
+        want = sum(1 << x for x in range(n)
+                   if not mask >> x & 1 and not preds[x] & ~mask)
+        assert p.ready(mask) == p.ready(mask | above) == want, (p, mask)
+
+
+class TestReady:
+    """The one mask the engines ask which elements may come next."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_mask_on_every_family(self, family):
+        for s, t in UP_TO_12:
+            assert_ready_everywhere(build(family, s, t))
+
+    def test_every_mask_on_augmented_and_extra_pair_posets(self):
+        for s, t in UP_TO_12:
+            assert_ready_everywhere(saw_poset(s, t))
+            assert_ready_everywhere(zip_poset(s, t))
+        p = GridPoset("EN", 3, 4, frozenset({(1, 12)}))
+        assert (-11, 1 << 11) in p._offsets
+        assert_ready_everywhere(p)
+
+    def test_offsets(self):
+        # a grid has two offsets, each extra pair at most one more
+        assert len(build("NE", 3, 4)._offsets) == 2
+        assert len(saw_poset(4, 3)._offsets) == 3
+        assert len(zip_poset(5, 4)._offsets) == 3
+        assert build("EN", 1, 1)._offsets == ()
+
+
 class TestAugmentations:
     def test_saw_extra_pairs(self):
         p = saw_poset(4, 3)
@@ -214,7 +253,8 @@ class TestRecords:
     def test_cached_properties_are_computed_once(self):
         p = build("EN", 3, 4)
         assert p.direct_preds is p.direct_preds
-        assert p.succs is p.succs
+        p.ready(0)
+        assert p._offsets is p._offsets
         p.must_precede(1, 2)
         assert p._closure is p._closure
         assert p == build("EN", 3, 4)  # caches do not enter equality

@@ -96,6 +96,14 @@ class TestCount2143:
     def test_frozen_values(self, s, t, expected):
         assert count_2143(s, t) == expected
 
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_rejects_empty_and_negative_s(self, t):
+        # the chain (t = 1) validates s like any other width
+        for s in (0, -3):
+            with pytest.raises(ValueError, match="s >= 1"):
+                count_2143(s, t)
+        assert [count_2143(s, 1) for s in range(1, 6)] == [1] * 5
+
     def test_matches_enumeration(self):
         for s in range(1, 5):
             for t in range(1, 5):
