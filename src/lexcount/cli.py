@@ -15,9 +15,8 @@ import sys
 from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
-from . import formulas, qstats, transfer
 from .engine import (count_avoiders, count_extensions, format_avoiders,
-                     listing)
+                     listing, stat_gf)
 from .perms import descents, format_perm, parse_perm
 from .polys import QPoly, format_q, format_x, to_json_dict
 from .posets import (FAMILIES, GridPoset, build, canonicalize,
@@ -40,6 +39,8 @@ def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
     want = lambda name: only is None or only == name
 
     if not poset.tag:
+        # imported here, so that a cache hit skips their load
+        from . import formulas, transfer
         prob = canonicalize(poset.family, poset.s, poset.t, patterns)
         if want("formula"):
             res = formulas.count_formula(prob)
@@ -150,7 +151,7 @@ def _poly_output(args: argparse.Namespace, gf: QPoly,
 
 def cmd_qpoly(args: argparse.Namespace) -> tuple[int, str]:
     poset, patterns, echo = _read(args, refuse="q-polynomial")
-    return _poly_output(args, qstats.stat_gf(poset, patterns, args.stat),
+    return _poly_output(args, stat_gf(poset, patterns, args.stat),
                         format_q, {**echo, "stat": args.stat})
 
 
@@ -207,12 +208,14 @@ def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
+    from . import transfer  # imported here, so other commands skip its load
     return _poly_output(args, transfer.char_poly(args.t), format_x,
                         {"t": args.t})
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    from . import verify  # imported here, so other commands skip its load
+    # imported here, so other commands skip their load
+    from . import qstats, verify
     if args.suite == "theorems":
         results = verify.theorem_checks(fast=args.fast)
     else:
@@ -229,22 +232,22 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cache_key(args: argparse.Namespace) -> str:
-    """sha256 of the parsed arguments and of the package's own .py
+    """BLAKE2b-256 of the parsed arguments and of the package's own .py
     sources (in file-name order), so that flag order, defaults spelled out
     and the way the cache dir is given do not matter, and an answer is not
     reused once the code that produced it changes.  --avoid keeps its
-    order and repeats, since json output echoes them.  hashlib is imported
-    only here: loading OpenSSL would cost every other command several
-    milliseconds of start-up."""
-    import hashlib
-    source = hashlib.sha256()
+    order and repeats, since json output echoes them.  The hash comes from
+    _blake2, the class hashlib.blake2b always is: importing hashlib would
+    load OpenSSL, several milliseconds of every cacheable command."""
+    from _blake2 import blake2b
+    source = blake2b(digest_size=32)
     for path in sorted(Path(__file__).parent.glob("*.py")):
         source.update(path.name.encode() + b"\0" + path.read_bytes())
     fields = {k: v for k, v in vars(args).items()
               if k not in ("cache_dir", "func", "cacheable")}
     fields["source"] = source.hexdigest()
-    return hashlib.sha256(
-        json.dumps(fields, sort_keys=True).encode()).hexdigest()
+    return blake2b(json.dumps(fields, sort_keys=True).encode(),
+                   digest_size=32).hexdigest()
 
 
 def _read_entry(entry: Path) -> Optional[dict]:

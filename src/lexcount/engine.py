@@ -44,10 +44,10 @@ def avoiders(poset: GridPoset, patterns: Iterable[Sequence[int]]) -> Iterator[Pe
     """
     n = poset.n
     patset = {tuple(p) for p in patterns}
-    if any(len(p) == 0 for p in patset):
-        return iter(())  # the empty pattern is contained in everything
     matchers = [ending_matcher(perm(p)) for p in sorted(patset)]
     poset._closure  # noqa: B018 -- topological sort; raises on a cycle
+    if () in patset:
+        return iter(())  # the empty pattern is contained in everything
 
     prefix: list[int] = []
 
@@ -415,8 +415,8 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
         return settle(new)
 
     layer: dict = {}
+    poset._closure  # noqa: B018 -- topological sort; raises on a cycle
     if () not in pats:  # the empty pattern is contained in everything
-        poset._closure  # noqa: B018 -- topological sort; raises on a cycle
         sid, low = settle({match(i, ()) for i in range(len(pats))})
         if low >= n:
             layer[0, sid] = root

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import os
@@ -625,9 +626,31 @@ class TestCache:
         fresh.write_text(json.dumps({"code": 0, "output": "stale"}))
         assert run(*argv) == (0, "stale", "")  # the new key is used again
 
+    def test_key_is_blake2b_256(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["--cache-dir", str(tmp_path), "count", "--poset", "EN:4x4",
+             "--avoid", "1324", "--avoid", "123"])
+        source = hashlib.blake2b(digest_size=32)
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            source.update(path.name.encode() + b"\0" + path.read_bytes())
+        fields = {"command": "count", "poset": "EN:4x4", "format": "plain",
+                  "force": False, "avoid": ["1324", "123"], "route": None,
+                  "source": source.hexdigest()}
+        want = hashlib.blake2b(json.dumps(fields, sort_keys=True).encode(),
+                               digest_size=32).hexdigest()
+        assert cli._cache_key(args) == want
+
+    def test_blake2_is_hashlibs(self):
+        import _blake2
+        assert _blake2.blake2b is hashlib.blake2b
+
     def test_uncacheable_commands_skip_cache(self, run, tmp_path):
         run("--cache-dir", str(tmp_path), "charpoly", "--t", "3")
         assert not list(tmp_path.iterdir())
+
+
+# the modules the package and the cli load on first use
+LAZY = {"lexcount.formulas", "lexcount.qstats", "lexcount.transfer"}
 
 
 class TestProcess:
@@ -644,8 +667,23 @@ class TestProcess:
         added = (self.modules_after("import lexcount.cli")
                  - self.modules_after("pass"))
         assert "lexcount.cli" in added
-        assert not added & {"dataclasses", "inspect", "hashlib",
-                            "lexcount.verify", "lexcount.paths"}
+        assert not added & ({"dataclasses", "inspect", "hashlib", "_hashlib",
+                             "lexcount.verify", "lexcount.paths"} | LAZY)
+
+    def test_cache_hit_loads_only_what_it_uses(self, tmp_path):
+        argv = ["--cache-dir", str(tmp_path), "count", "--poset", "EN:4x4",
+                "--avoid", "1324"]
+        assert fresh("-m", "lexcount", *argv).returncode == 0
+        (entry,) = tmp_path.iterdir()
+        entry.write_text(json.dumps({"code": 0, "output": "served"}))
+        # the hit, run by main in a program that then lists the modules
+        r = fresh("-c", "import sys; from lexcount.cli import main; "
+                  f"code = main({argv!r}); print(*sys.modules, "
+                  "file=sys.stderr); sys.exit(code)")
+        assert (r.returncode, r.stdout) == (0, "served\n")
+        loaded = set(r.stderr.split()) - self.modules_after("pass")
+        assert "_blake2" in loaded
+        assert not loaded & ({"hashlib", "_hashlib"} | LAZY)
 
     def test_cache_in_a_fresh_process(self, tmp_path):
         argv = ("-m", "lexcount", "--cache-dir", str(tmp_path), "count",
@@ -677,6 +715,59 @@ class TestProcess:
         assert first.count(",") == 19
         assert "Traceback" not in err
         assert code == 1
+
+
+class TestPackage:
+    """The package's public names; those of formulas, qstats and transfer
+    load their module on first use."""
+
+    HOMES = {
+        "engine": ["avoiders", "count_avoiders", "count_extensions",
+                   "insert_213", "is_extension", "linear_extensions",
+                   "list_avoiders"],
+        "formulas": ["catalan", "count_formula", "fibonacci", "fuss_catalan",
+                     "hook_count", "inv_bounds_1243"],
+        "gentree": ["children_labels", "count_at_depth", "grow_extensions",
+                    "saw_label"],
+        "perms": ["avoids", "complement", "contains", "descents", "inv",
+                  "maj", "perm", "reverse", "reverse_complement"],
+        "posets": ["build", "canonicalize", "parse_poset_spec", "saw_poset",
+                   "zip_poset"],
+        "qstats": ["F_poly", "maj_q_catalan", "q_catalan", "q_catalan_tilde",
+                   "q_int", "stat_gf"],
+        "transfer": ["a_vector", "b_matrix", "char_poly", "count_2143",
+                     "recurrence_extend"],
+    }
+
+    def test_every_name_is_its_home_modules(self):
+        import importlib
+        import lexcount
+        homes = {name: module for module, names in self.HOMES.items()
+                 for name in names}
+        assert sorted(lexcount.__all__) == sorted(homes)
+        for name, module in homes.items():
+            home = importlib.import_module(f"lexcount.{module}")
+            assert getattr(lexcount, name) is getattr(home, name)
+
+    def test_star_import_and_dir_see_every_name(self):
+        import lexcount
+        namespace: dict = {}
+        exec("from lexcount import *", namespace)
+        assert set(lexcount.__all__) <= set(namespace)
+        assert set(lexcount.__all__) <= set(dir(lexcount))
+
+    def test_unknown_name(self):
+        import lexcount
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            lexcount.no_such_name  # noqa: B018
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from lexcount import no_such_name", {})
+
+    def test_a_name_loads_only_its_module(self):
+        r = fresh("-c", "import sys, lexcount; lexcount.catalan(3); "
+                  "print(*sys.modules)")
+        assert r.returncode == 0, r.stderr
+        assert LAZY & set(r.stdout.split()) == {"lexcount.formulas"}
 
 
 class TestFreeze:

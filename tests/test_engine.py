@@ -78,6 +78,10 @@ class TestEnumeration:
             with pytest.raises(ValueError, match="cycle"):
                 poset.must_precede(1, 2)
 
+    def test_cycle_detected_with_the_empty_pattern(self):
+        with pytest.raises(ValueError, match="cycle"):
+            avoiders(cyclic_poset(), [()])
+
 
 class TestPatternPruning:
     @pytest.mark.parametrize("shape", SHAPES)
@@ -161,6 +165,10 @@ class TestAvoiderDP:
                 count_avoiders(poset, [(1, 2, 3)])
             with pytest.raises(ValueError, match="cycle"):
                 count_extensions(poset)
+
+    def test_cycle_detected_with_the_empty_pattern(self):
+        with pytest.raises(ValueError, match="cycle"):
+            count_avoiders(cyclic_poset(), [()])
 
     def test_bad_pattern(self):
         with pytest.raises(ValueError, match="not a permutation"):
@@ -292,6 +300,10 @@ class TestListAvoiders:
         for poset in cyclic_posets():
             with pytest.raises(ValueError, match="cycle"):
                 list_avoiders(poset, [(1, 2, 3)])
+
+    def test_cycle_detected_with_the_empty_pattern(self):
+        with pytest.raises(ValueError, match="cycle"):
+            list_avoiders(cyclic_poset(), [()])
 
     def test_bad_pattern(self):
         with pytest.raises(ValueError, match="not a permutation"):

@@ -10,7 +10,7 @@ from lexcount.perms import inv, maj
 from lexcount.polys import (add, degree, eval_at_one, is_unimodal, monomial,
                             reverse_on_degree)
 from lexcount.posets import build, empty_poset
-from test_engine import _patterns, _posets, cyclic_posets
+from test_engine import _patterns, _posets, cyclic_poset, cyclic_posets
 from lexcount.qstats import (F_poly, catalan_words, conj_1243_rhs,
                              conj_2143_t2_rhs, conj_2143_t3_rhs,
                              f_coeff_export, maj_conjecture_rhs,
@@ -108,6 +108,11 @@ class TestStatGfDP:
             for stat in ("inv", "maj"):
                 with pytest.raises(ValueError, match="cycle"):
                     stat_gf(poset, [(1, 2, 3)], stat)
+
+    @pytest.mark.parametrize("stat", ["inv", "maj"])
+    def test_cycle_detected_with_the_empty_pattern(self, stat):
+        with pytest.raises(ValueError, match="cycle"):
+            stat_gf(cyclic_poset(), [()], stat)
 
     def test_en_5x5_2143(self):
         gf = stat_gf(build("EN", 5, 5), [(2, 1, 4, 3)], "inv")
