@@ -7,12 +7,13 @@ cross-route disagreement.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NoReturn, Optional, Sequence
 
 from .engine import (count_avoiders, count_extensions, format_avoiders,
@@ -68,23 +69,23 @@ def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
     return next(iter(routes.items()), (None, None))
 
 
-def _read(args: argparse.Namespace, refuse: str = ""
+def _read(args: SimpleNamespace, refuse: str = ""
           ) -> tuple[Optional[GridPoset], list[tuple[int, ...]], dict]:
     """The parsed --poset and --avoid of a subcommand that takes them, and
     their json echo.  With `refuse`, a poset of more than ORACLE_GUARD
     elements is refused without --force."""
-    poset = parse_poset_spec(args.poset) if "poset" in args else None
+    poset = parse_poset_spec(args.poset) if hasattr(args, "poset") else None
     patterns = [parse_perm(p) for p in getattr(args, "avoid", ())]
     if refuse and poset.n > ORACLE_GUARD and not args.force:
         raise ValueError(f"{refuse} refused for {poset.n} elements; "
                          "pass --force")
     echo = {} if poset is None else {"poset": poset.spec_string()}
-    if "avoid" in args:
+    if hasattr(args, "avoid"):
         echo["patterns"] = [format_perm(p) for p in patterns]
     return poset, patterns, echo
 
 
-def _render(args: argparse.Namespace, plain: str, payload: dict,
+def _render(args: SimpleNamespace, plain: str, payload: dict,
             rows: Sequence[Sequence] = ()) -> str:
     """The answer in args.format: plain text, the payload as json, or the
     rows as csv."""
@@ -95,7 +96,7 @@ def _render(args: argparse.Namespace, plain: str, payload: dict,
     return plain
 
 
-def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_count(args: SimpleNamespace) -> tuple[int, str]:
     poset, patterns, echo = _read(args)
     route, value = _solve(poset, patterns, args.force, args.route)
     if route is None:
@@ -107,7 +108,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[int, str]:
                       [("value", "route"), (value, route)])
 
 
-def cmd_list(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_list(args: SimpleNamespace) -> tuple[int, str]:
     poset, patterns, echo = _read(args, refuse="listing")
     if args.format == "json":
         exts = format_avoiders(poset, patterns)
@@ -123,7 +124,7 @@ def _table_cell(family: str, s: int, t: int,
         raise Disagreement(f"{e} at ({s},{t})") from None
 
 
-def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_table(args: SimpleNamespace) -> tuple[int, str]:
     if args.family not in FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
     _, patterns, echo = _read(args)
@@ -140,7 +141,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
                                     "rows": grid}, rows)
 
 
-def _poly_output(args: argparse.Namespace, gf: QPoly,
+def _poly_output(args: SimpleNamespace, gf: QPoly,
                  fmt: Callable[[QPoly], str], echo: dict) -> tuple[int, str]:
     """A polynomial as fmt's text, its coefficients and the echo as json,
     or one csv row per nonzero coefficient."""
@@ -149,13 +150,13 @@ def _poly_output(args: argparse.Namespace, gf: QPoly,
                       + [(k, c) for k, c in enumerate(gf) if c])
 
 
-def cmd_qpoly(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_qpoly(args: SimpleNamespace) -> tuple[int, str]:
     poset, patterns, echo = _read(args, refuse="q-polynomial")
     return _poly_output(args, stat_gf(poset, patterns, args.stat),
                         format_q, {**echo, "stat": args.stat})
 
 
-def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_bijection(args: SimpleNamespace) -> tuple[int, str]:
     from . import paths  # imported here, so other commands skip its load
     poset, _, payload = _read(args)
     s, t = poset.s, poset.t
@@ -207,13 +208,13 @@ def cmd_bijection(args: argparse.Namespace) -> tuple[int, str]:
     return 0, _render(args, plain, payload)
 
 
-def cmd_charpoly(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_charpoly(args: SimpleNamespace) -> tuple[int, str]:
     from . import transfer  # imported here, so other commands skip its load
     return _poly_output(args, transfer.char_poly(args.t), format_x,
                         {"t": args.t})
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_verify(args: SimpleNamespace) -> tuple[int, str]:
     # imported here, so other commands skip their load
     from . import qstats, verify
     if args.suite == "theorems":
@@ -231,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         "suite": args.suite, "checks": [r._asdict() for r in results]})
 
 
-def _cache_key(args: argparse.Namespace) -> str:
+def _cache_key(args: SimpleNamespace) -> str:
     """BLAKE2b-256 of the parsed arguments and of the package's own .py
     sources (in file-name order), so that flag order, defaults spelled out
     and the way the cache dir is given do not matter, and an answer is not
@@ -279,97 +280,243 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> NoReturn:
-        """Report a usage error as one line on stderr, with the line breaks
-        of a stray argument escaped, and exit 1; argparse would also print
-        the usage and exit 2, the disagreement code."""
-        message = "\\n".join(message.splitlines())
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lexcount",
-        description="Exact enumeration of pattern-avoiding linear "
-                    "extensions of rectangular posets")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for memoized results "
-                             "(or set LEXCOUNT_CACHE_DIR)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, poset: bool = True,
-               csv: bool = True, force: bool = True) -> None:
-        if poset:
-            p.add_argument("--poset", required=True,
-                           help="poset spec, e.g. EN:4x3 or EN:4x3+saw")
-        p.add_argument("--format", default="plain", choices=(
-            ("plain", "json", "csv") if csv else ("plain", "json")))
-        if force:
-            p.add_argument("--force", action="store_true",
-                           help=f"lift the {ORACLE_GUARD}-element limit on "
-                                "the oracle route, list and qpoly")
-
-    p = sub.add_parser("count", help="count avoiding extensions")
-    common(p)
-    p.add_argument("--avoid", action="append", default=[],
-                   help="pattern to avoid (repeatable)")
-    p.add_argument("--route", choices=("formula", "transfer", "ideal-dp",
-                                       "oracle"), default=None)
-    p.set_defaults(func=cmd_count, cacheable=True)
-
-    p = sub.add_parser("list", help="list avoiding extensions")
-    common(p, csv=False)
-    p.add_argument("--avoid", action="append", default=[])
-    p.set_defaults(func=cmd_list, cacheable=False)
-
-    p = sub.add_parser("table", help="grid of counts over (s, t)")
-    common(p, poset=False)
-    p.add_argument("--family", required=True,
-                   help=f"one of {', '.join(FAMILIES)}")
-    p.add_argument("--avoid", action="append", default=[])
-    p.add_argument("--max-s", type=_positive_int, required=True)
-    p.add_argument("--max-t", type=_positive_int, required=True)
-    p.set_defaults(func=cmd_table, cacheable=True)
-
-    p = sub.add_parser("qpoly", help="statistic generating function")
-    common(p)
-    p.add_argument("--avoid", action="append", default=[])
-    p.add_argument("--stat", choices=("inv", "maj"), default="inv")
-    p.set_defaults(func=cmd_qpoly, cacheable=True)
-
-    p = sub.add_parser("bijection", help="apply a bijection or its inverse")
-    common(p, csv=False, force=False)
-    p.add_argument("--kind", choices=("tableau", "fcpath", "zipper"),
-                   required=True)
-    p.add_argument("--perm", default=None, help="extension to encode")
-    p.add_argument("--word", default=None,
-                   help="encoded object to decode (path string, zipper "
-                        "tokens, or tableau JSON)")
-    p.set_defaults(func=cmd_bijection, cacheable=False)
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial of the "
-                                        "transfer matrix")
-    p.add_argument("--t", type=_positive_int, required=True)
-    common(p, poset=False, force=False)
-    p.set_defaults(func=cmd_charpoly, cacheable=False)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=("theorems", "conjectures"),
-                   required=True)
-    p.add_argument("--fast", action="store_true",
-                   help="smaller size limits for a quicker pass")
+# The command line.  A command is (help, handler, cacheable, options), and
+# an option is (flag, kind, default, required, help).  Its kind is FLAG
+# (takes no value, sets True), APPEND (each use adds its value to a list),
+# a tuple of the values allowed, or the function that converts its value
+# (str or _positive_int).
+FLAG, APPEND = "flag", "append"
+HELP = ("-h/--help", FLAG, False, False, "show this help and exit")
+CACHE_DIR = ("--cache-dir", str, None, False,
+             "directory for memoized results (or set LEXCOUNT_CACHE_DIR)")
+POSET = ("--poset", str, None, True, "poset spec, e.g. EN:4x3 or EN:4x3+saw")
+FORMAT = ("--format", ("plain", "json", "csv"), "plain", False,
+          "output format")
+NO_CSV = ("--format", ("plain", "json"), "plain", False, "output format")
+FORCE = ("--force", FLAG, False, False,
+         f"lift the {ORACLE_GUARD}-element limit on the oracle route, "
+         "list and qpoly")
+AVOID = ("--avoid", APPEND, (), False, "pattern to avoid (repeatable)")
+COMMANDS = {
+    "count": ("count avoiding extensions", cmd_count, True, (
+        POSET, FORMAT, FORCE, AVOID,
+        ("--route", ("formula", "transfer", "ideal-dp", "oracle"), None,
+         False, "run only this counting route"))),
+    "list": ("list avoiding extensions", cmd_list, False,
+             (POSET, NO_CSV, FORCE, AVOID)),
+    "table": ("grid of counts over (s, t)", cmd_table, True, (
+        FORMAT, FORCE,
+        ("--family", str, None, True, f"one of {', '.join(FAMILIES)}"),
+        AVOID,
+        ("--max-s", _positive_int, None, True, "largest s"),
+        ("--max-t", _positive_int, None, True, "largest t"))),
+    "qpoly": ("statistic generating function", cmd_qpoly, True, (
+        POSET, FORMAT, FORCE, AVOID,
+        ("--stat", ("inv", "maj"), "inv", False, "the statistic"))),
+    "bijection": ("apply a bijection or its inverse", cmd_bijection, False, (
+        POSET, NO_CSV,
+        ("--kind", ("tableau", "fcpath", "zipper"), None, True,
+         "the bijection"),
+        ("--perm", str, None, False, "extension to encode"),
+        ("--word", str, None, False, "encoded object to decode (path "
+         "string, zipper tokens, or tableau JSON)"))),
+    "charpoly": ("characteristic polynomial of the transfer matrix",
+                 cmd_charpoly, False, (
+                     ("--t", _positive_int, None, True,
+                      "size of the transfer matrix B_t"), FORMAT)),
     # no csv: the free-text details contain commas
-    common(p, poset=False, csv=False, force=False)
-    p.set_defaults(func=cmd_verify, cacheable=False)
+    "verify": ("run a verification suite", cmd_verify, False, (
+        ("--suite", ("theorems", "conjectures"), None, True, "which suite"),
+        ("--fast", FLAG, False, False,
+         "smaller size limits for a quicker pass"), NO_CSV)),
+}
+# the options before the command, in the same form
+TOP = ("Exact enumeration of pattern-avoiding linear extensions of "
+       "rectangular posets", None, False, (CACHE_DIR,))
 
-    return parser
+
+def _usage_error(prog: str, message: str) -> NoReturn:
+    """Report a usage error as one line on stderr, with the line breaks of
+    a stray argument escaped, and exit 1; 2 is the disagreement code."""
+    message = "\\n".join(message.splitlines())
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _lookup(prog: str, flags: dict, arg: str) -> Optional[tuple]:
+    """What one argument before `--` is: None for a value (negative
+    numbers and text with a space included), (flag, text after its = or
+    None) for an option in flags, (None, None) for an unknown option.  A
+    unique prefix names a long option; -hX is -h given X."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return name, value
+    if arg[1] == "-":
+        found = [(f, value if eq else None) for f in flags
+                 if f.startswith(name)]
+    else:
+        found = [(f, arg[2:]) for f in flags if f == arg[:2]]
+    if len(found) > 1:
+        _usage_error(prog, f"ambiguous option: {arg} could match "
+                     + ", ".join(f for f, _ in found))
+    if found:
+        return found[0]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _help(command: Optional[str]) -> str:
+    """The --help text of lexcount (command None) or of one command: a
+    usage line, the description, and a line per command and option."""
+    about, _, _, options = COMMANDS[command] if command else TOP
+    spelled = [_spelling(o) for o in options]
+    usage = [f"usage: {_prog(command)} [-h]"] + [
+        text if o[3] else f"[{text}]" for o, text in zip(options, spelled)]
+    lines = [" ".join(usage), "", about]
+    if not command:
+        lines[0] += " <command> ..."
+        lines += ["", "commands:", *_columns(
+            [(name, row[0]) for name, row in COMMANDS.items()])]
+    rows = [("-h, --help", HELP[4])] + [
+        (text, o[4]) for o, text in zip(options, spelled)]
+    return "\n".join(lines + ["", "options:", *_columns(rows)])
+
+
+def _prog(command: Optional[str]) -> str:
+    return f"lexcount {command}" if command else "lexcount"
+
+
+def _spelling(option: tuple) -> str:
+    """An option as the help writes it: its flag and what it takes."""
+    flag, kind = option[:2]
+    if kind == FLAG:
+        return flag
+    if isinstance(kind, tuple):
+        return f"{flag} {{{','.join(kind)}}}"
+    return f"{flag} {_dest(flag).upper()}"
+
+
+def _columns(rows: list[tuple[str, str]]) -> list[str]:
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left.ljust(width)}  {right}" for left, right in rows]
+
+
+def _dest(flag: str) -> str:
+    """The namespace field of an option: --max-s sets max_s."""
+    return flag[2:].replace("-", "_")
+
+
+def _invalid_choice(prog: str, name: str, value: str,
+                    choices: Sequence[str]) -> NoReturn:
+    _usage_error(prog, f"argument {name}: invalid choice: {value!r} "
+                       f"(choose from {', '.join(map(repr, choices))})")
+
+
+def _parse_options(command: Optional[str], options: Sequence[tuple],
+                   args: list[str], fields: dict) -> tuple[int, list[str]]:
+    """Set fields from args, as argparse does, by the options of one
+    command, or of the top level (command None), which stops at its first
+    value or `--`, the command.  Every option starts at its default, and
+    the last value of a single-valued one wins; -h prints the help and
+    exits 0.  Return where parsing stopped and the arguments not
+    understood."""
+    prog = _prog(command)
+    fields.update((_dest(o[0]), list(o[2]) if o[1] == APPEND else o[2])
+                  for o in options)
+    flags = {"-h": HELP, "--help": HELP, **{o[0]: o for o in options}}
+    kinds = []  # every argument is looked up first, as argparse does
+    for arg in args:
+        if arg == "--":
+            break
+        kinds.append(_lookup(prog, flags, arg))
+    extras, seen, i = [], set(), 0
+    while i < len(kinds):
+        if kinds[i] is None and command is None:
+            break
+        if kinds[i] is None or kinds[i][0] is None:
+            extras.append(args[i])
+            i += 1
+            continue
+        flag, value = kinds[i]
+        i += 1
+        option = flags[flag]
+        name, kind = option[:2]
+        seen.add(name)
+        dest = _dest(name)
+        if kind == FLAG:
+            if value is not None:
+                rest = value.lstrip("h") if flag == "-h" else value
+                if value == "" or rest:  # -hh is -h -h
+                    _usage_error(prog, f"argument {name}: ignored explicit "
+                                       f"argument {rest!r}")
+            if option is HELP:
+                raise SystemExit(0 if _emit(_help(command)) else 1)
+            fields[dest] = True
+            continue
+        if value is None:
+            if i == len(kinds) or kinds[i] is not None:
+                _usage_error(prog, f"argument {name}: expected one argument")
+            value = args[i]
+            i += 1
+        if kind == APPEND:
+            fields[dest].append(value)
+            continue
+        if isinstance(kind, tuple):
+            if value not in kind:
+                _invalid_choice(prog, name, value, kind)
+        else:
+            try:
+                value = kind(value)
+            except ValueError as e:
+                _usage_error(prog, f"argument {name}: {e}")
+        fields[dest] = value
+    missing = [o[0] for o in options if o[3] and o[0] not in seen]
+    if missing:
+        _usage_error(prog, "the following arguments are required: "
+                     + ", ".join(missing))
+    return i, extras
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command line as the fields of one namespace: cache_dir, command,
+    one per option of the command (its default if not given), and the
+    command's func and cacheable.  Only --cache-dir and -h come before the
+    command.  A usage error prints one line on stderr and raises
+    SystemExit(1); -h prints the help on stdout and raises SystemExit(0)."""
+    argv = list(argv)
+    fields: dict = {}
+    i, extras = _parse_options(None, TOP[3], argv, fields)
+    if argv[i:] in ([], ["--"]):
+        _usage_error("lexcount", "the following arguments are required: "
+                                 "command")
+    command = fields["command"] = argv[i]
+    if command not in COMMANDS:
+        _invalid_choice("lexcount", "command", command, COMMANDS)
+    _, func, cacheable, options = COMMANDS[command]
+    rest = argv[i + 1:]
+    j, unknown = _parse_options(command, options, rest, fields)
+    extras += unknown + rest[j:]
+    if extras:
+        _usage_error("lexcount",
+                     f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**fields, func=func, cacheable=cacheable)
+
+
+def build_parser() -> SimpleNamespace:
+    """An object whose parse_args is this module's, for callers written
+    against the argparse parser that parse_args replaced."""
+    return SimpleNamespace(parse_args=parse_args)
 
 
 def _emit(text: str) -> bool:
@@ -399,11 +546,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run never builds up a permanent generation."""
     if argv is None:
         gc.freeze()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
+        return e.code
 
     cache = args.cacheable and (args.cache_dir
                                 or os.environ.get("LEXCOUNT_CACHE_DIR"))

@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -627,7 +629,7 @@ class TestCache:
         assert run(*argv) == (0, "stale", "")  # the new key is used again
 
     def test_key_is_blake2b_256(self, tmp_path):
-        args = cli.build_parser().parse_args(
+        args = cli.parse_args(
             ["--cache-dir", str(tmp_path), "count", "--poset", "EN:4x4",
              "--avoid", "1324", "--avoid", "123"])
         source = hashlib.blake2b(digest_size=32)
@@ -651,6 +653,8 @@ class TestCache:
 
 # the modules the package and the cli load on first use
 LAZY = {"lexcount.formulas", "lexcount.qstats", "lexcount.transfer"}
+# argparse and the translation lookups it makes, which cli.parse_args avoids
+PARSER = {"argparse", "gettext", "locale"}
 
 
 class TestProcess:
@@ -668,7 +672,8 @@ class TestProcess:
                  - self.modules_after("pass"))
         assert "lexcount.cli" in added
         assert not added & ({"dataclasses", "inspect", "hashlib", "_hashlib",
-                             "lexcount.verify", "lexcount.paths"} | LAZY)
+                             "lexcount.verify", "lexcount.paths"}
+                            | LAZY | PARSER)
 
     def test_cache_hit_loads_only_what_it_uses(self, tmp_path):
         argv = ["--cache-dir", str(tmp_path), "count", "--poset", "EN:4x4",
@@ -683,7 +688,7 @@ class TestProcess:
         assert (r.returncode, r.stdout) == (0, "served\n")
         loaded = set(r.stderr.split()) - self.modules_after("pass")
         assert "_blake2" in loaded
-        assert not loaded & ({"hashlib", "_hashlib"} | LAZY)
+        assert not loaded & ({"hashlib", "_hashlib"} | LAZY | PARSER)
 
     def test_cache_in_a_fresh_process(self, tmp_path):
         argv = ("-m", "lexcount", "--cache-dir", str(tmp_path), "count",
@@ -807,6 +812,66 @@ class TestUsage:
         assert main(["--help"]) == 0
         assert "count" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"],
+                                      ["--cache-dir", "d", "-h"]])
+    def test_help_lists_every_command(self, run, argv):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        commands = reference_commands()
+        assert list(cli.COMMANDS) == list(commands)
+        for name, row in cli.COMMANDS.items():
+            assert f"  {name}  " in out and row[0] in out
+        assert "--cache-dir" in out
+
+    @pytest.mark.parametrize("command", ["count", "list", "table", "qpoly",
+                                         "bijection", "charpoly", "verify"])
+    @pytest.mark.parametrize("tail", [["--help"], ["-h"],
+                                      ["--format", "json", "-h"]])
+    def test_command_help_lists_every_option(self, run, command, tail):
+        code, out, err = run(command, *tail)
+        assert (code, err) == (0, "")
+        flags = []
+        for action in reference_commands()[command]._actions[1:]:
+            flag, = action.option_strings
+            flags.append(flag)
+            assert f"  {flag}" in out
+            if action.choices:
+                assert f"{flag} {{{','.join(action.choices)}}}" in out
+        assert [o[0] for o in cli.COMMANDS[command][3]] == flags
+        for option in cli.COMMANDS[command][3]:
+            assert option[4] in out
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "lexcount: error: the following arguments are required: "
+             "command"),
+        (["frobnicate"], "lexcount: error: argument command: invalid "
+                         "choice: 'frobnicate' (choose from 'count', "
+                         "'list', 'table', 'qpoly', 'bijection', "
+                         "'charpoly', 'verify')"),
+        (["table", "--family", "EN"], "lexcount table: error: the following "
+                                      "arguments are required: --max-s, "
+                                      "--max-t"),
+        (["qpoly", "--poset", "EN:2x2", "--stat", "des"],
+         "lexcount qpoly: error: argument --stat: invalid choice: 'des' "
+         "(choose from 'inv', 'maj')"),
+        (["count", "--poset", "EN:2x2", "--cache-dir", "d"],
+         "lexcount: error: unrecognized arguments: --cache-dir d"),
+        (["count", "--poset", "EN:2x2", "a\nb"],
+         "lexcount: error: unrecognized arguments: a\\nb"),
+        (["count", "--poset", "--avoid", "12"],
+         "lexcount count: error: argument --poset: expected one argument"),
+        (["list", "--poset", "EN:2x2", "--force=yes"],
+         "lexcount list: error: argument --force: ignored explicit "
+         "argument 'yes'"),
+        (["count", "--poset", "EN:2x2", "--fo", "json"],
+         "lexcount count: error: ambiguous option: --fo could match "
+         "--format, --force"),
+    ], ids=["missing-command", "unknown-command", "missing-option",
+            "invalid-choice", "unrecognized", "line-break",
+            "expected-one-argument", "flag-given-a-value", "ambiguous"])
+    def test_usage_error_wording(self, run, argv, message):
+        assert run(*argv) == (1, "", message + "\n")
+
 
 SPECS = st.one_of(
     st.builds("{}:{}x{}{}".format, st.sampled_from(FAMILIES),
@@ -917,3 +982,216 @@ class TestRobustness:
             code = main(argv)
         assert code in (0, 1, 2)
         assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+def reference_parser():
+    """The argparse parser that cli.parse_args replaced, kept as the
+    reference it must agree with."""
+    import argparse
+
+    def positive_int(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"must be at least 1, got {value}")
+        return value
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            message = "\\n".join(message.splitlines())
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
+        prog="lexcount",
+        description="Exact enumeration of pattern-avoiding linear "
+                    "extensions of rectangular posets")
+    parser.add_argument("--cache-dir", default=None,
+                        help="directory for memoized results "
+                             "(or set LEXCOUNT_CACHE_DIR)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, poset=True, csv=True, force=True):
+        if poset:
+            p.add_argument("--poset", required=True,
+                           help="poset spec, e.g. EN:4x3 or EN:4x3+saw")
+        p.add_argument("--format", default="plain", choices=(
+            ("plain", "json", "csv") if csv else ("plain", "json")))
+        if force:
+            p.add_argument("--force", action="store_true",
+                           help=f"lift the {cli.ORACLE_GUARD}-element limit "
+                                "on the oracle route, list and qpoly")
+
+    p = sub.add_parser("count", help="count avoiding extensions")
+    common(p)
+    p.add_argument("--avoid", action="append", default=[],
+                   help="pattern to avoid (repeatable)")
+    p.add_argument("--route", choices=("formula", "transfer", "ideal-dp",
+                                       "oracle"), default=None)
+    p.set_defaults(func=cli.cmd_count, cacheable=True)
+
+    p = sub.add_parser("list", help="list avoiding extensions")
+    common(p, csv=False)
+    p.add_argument("--avoid", action="append", default=[])
+    p.set_defaults(func=cli.cmd_list, cacheable=False)
+
+    p = sub.add_parser("table", help="grid of counts over (s, t)")
+    common(p, poset=False)
+    p.add_argument("--family", required=True,
+                   help=f"one of {', '.join(FAMILIES)}")
+    p.add_argument("--avoid", action="append", default=[])
+    p.add_argument("--max-s", type=positive_int, required=True)
+    p.add_argument("--max-t", type=positive_int, required=True)
+    p.set_defaults(func=cli.cmd_table, cacheable=True)
+
+    p = sub.add_parser("qpoly", help="statistic generating function")
+    common(p)
+    p.add_argument("--avoid", action="append", default=[])
+    p.add_argument("--stat", choices=("inv", "maj"), default="inv")
+    p.set_defaults(func=cli.cmd_qpoly, cacheable=True)
+
+    p = sub.add_parser("bijection", help="apply a bijection or its inverse")
+    common(p, csv=False, force=False)
+    p.add_argument("--kind", choices=("tableau", "fcpath", "zipper"),
+                   required=True)
+    p.add_argument("--perm", default=None, help="extension to encode")
+    p.add_argument("--word", default=None,
+                   help="encoded object to decode (path string, zipper "
+                        "tokens, or tableau JSON)")
+    p.set_defaults(func=cli.cmd_bijection, cacheable=False)
+
+    p = sub.add_parser("charpoly", help="characteristic polynomial of the "
+                                        "transfer matrix")
+    p.add_argument("--t", type=positive_int, required=True)
+    common(p, poset=False, force=False)
+    p.set_defaults(func=cli.cmd_charpoly, cacheable=False)
+
+    p = sub.add_parser("verify", help="run a verification suite")
+    p.add_argument("--suite", choices=("theorems", "conjectures"),
+                   required=True)
+    p.add_argument("--fast", action="store_true",
+                   help="smaller size limits for a quicker pass")
+    common(p, poset=False, csv=False, force=False)
+    p.set_defaults(func=cli.cmd_verify, cacheable=False)
+
+    return parser
+
+
+def reference_commands() -> dict:
+    """The reference's parser of each command, by name."""
+    return reference_parser()._subparsers._group_actions[0].choices
+
+
+def parsed(parse, argv: list[str]):
+    """What parse makes of argv: the fields it sets but func, or its exit
+    code and stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            fields = vars(parse(argv))
+        except SystemExit as e:
+            return e.code, err.getvalue()
+    del fields["func"]
+    return fields
+
+
+def pool_spellings(monkeypatch) -> list[list[str]]:
+    """Five seeded spellings of every benchmark pool problem: three drawn,
+    two of them respelled, the cache dir given by flag where drawn so."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up while the class is made
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(24)
+    argvs = []
+    for problem in workloads.load_pool().values():
+        drawn = [workloads.spell(problem, rng, cache)
+                 for cache in ("flag", "", "flag")]
+        commands = drawn + [workloads.respell(drawn[0], rng, False),
+                            workloads.respell(drawn[2], rng, True)]
+        argvs += [["--cache-dir", "d"] * (c.cache == "flag") + list(c.argv)
+                  for c in commands]
+    return argvs
+
+
+# one word each that argparse treats specially
+TRICKY = ["--", "-", "-1", "-3", "-.5", "-1 2", "--x y", "-x", "--bogus",
+          "-h", "-hh", "-hx", "--he", "--help=x", "--fo", "--f", "--p",
+          "--po=EN:2x2", "--format=json", "--force=", "--avoid=", "--=x",
+          "--cache-dir", "--c", "count", "", "a\nb"]
+
+
+class TestAgainstArgparse:
+    """parse_args gives argparse's fields, exit codes and error lines."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return reference_parser().parse_args
+
+    def agree(self, reference, argv):
+        assert parsed(cli.parse_args, argv) == parsed(reference, argv), argv
+
+    @given(cli_argvs())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_argv(self, reference, argv):
+        self.agree(reference, argv)
+
+    @given(cli_argvs(), st.sampled_from(TRICKY), st.integers(0, 20))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_argv_with_a_tricky_word(self, reference, argv, word, at):
+        self.agree(reference, argv[:at] + [word] + argv[at:])
+
+    def test_build_parser_gives_parse_args(self):
+        # perfbench's draw test still parses through build_parser()
+        assert cli.build_parser().parse_args is cli.parse_args
+
+    def test_pool_spellings(self, reference, monkeypatch):
+        argvs = pool_spellings(monkeypatch)
+        assert len(argvs) == 465
+        for argv in argvs:
+            assert type(parsed(reference, argv)) is dict, argv
+            self.agree(reference, argv)
+
+    @pytest.mark.parametrize("argv", [
+        # --opt=value
+        ["count", "--poset=EN:3x3", "--avoid=123", "--format=json"],
+        ["--cache-dir=d", "table", "--family=EN", "--max-s=2", "--max-t=3"],
+        ["count", "--poset=", "--avoid="],
+        ["charpoly", "--t=0"],
+        # prefixes
+        ["count", "--po", "EN:2x2", "--av", "12", "--r", "oracle"],
+        ["--cache", "d", "qpoly", "--pos=EN:2x2", "--s", "maj"],
+        ["table", "--fa", "EN", "--max", "1"],
+        ["count", "--poset", "EN:2x2", "--fo=json"],
+        ["count", "--poset", "EN:2x2", "--=x"],
+        # --
+        ["--"], ["--", "count"], ["--cache-dir", "--", "count"],
+        ["count", "--", "--poset", "EN:2x2"],
+        ["count", "--poset", "EN:2x2", "--"],
+        ["count", "--poset", "EN:2x2", "--", "--avoid", "12"],
+        # a stray -1
+        ["-1"], ["count", "--poset", "EN:2x2", "-1"],
+        ["charpoly", "--t", "3", "-1"],
+        # values that start with -
+        ["charpoly", "--t", "-3"], ["count", "--poset", "-x"],
+        ["count", "--poset", "EN:2x2", "--avoid", "-12"],
+        ["count", "--poset", "-.5"], ["count", "--poset", "--format"],
+        ["bijection", "--poset", "EN:2x2", "--kind", "zipper",
+         "--word", "-1 2"],
+        ["--cache-dir", "-d", "count", "--poset", "EN:2x2"],
+        # flags, help, repeats, unknown options before the command
+        ["verify", "--suite", "theorems", "--fast="],
+        ["count", "-hh"], ["count", "-hx"], ["count", "-h="],
+        ["--help=x"], ["count", "--poset", "EN:2x2", "--he"],
+        ["count", "--poset", "EN:2x2", "--poset", "EN:3x3", "--format",
+         "json", "--format", "csv", "--route", "formula", "--route",
+         "oracle"],
+        ["--bogus", "count", "--poset", "EN:2x2"],
+        ["--poset", "EN:2x2", "count"],
+    ])
+    def test_edge_cases(self, reference, argv):
+        self.agree(reference, argv)
