@@ -435,20 +435,20 @@ def _parse_options(command: Optional[str], options: Sequence[tuple],
     fields.update((_dest(o[0]), list(o[2]) if o[1] == APPEND else o[2])
                   for o in options)
     flags = {"-h": HELP, "--help": HELP, **{o[0]: o for o in options}}
-    kinds = []  # every argument is looked up first, as argparse does
+    lookups = []  # every argument is looked up first, as argparse does
     for arg in args:
         if arg == "--":
             break
-        kinds.append(_lookup(prog, flags, arg))
+        lookups.append(_lookup(prog, flags, arg))
     extras, seen, i = [], set(), 0
-    while i < len(kinds):
-        if kinds[i] is None and command is None:
+    while i < len(lookups):
+        if lookups[i] is None and command is None:
             break
-        if kinds[i] is None or kinds[i][0] is None:
+        if lookups[i] is None or lookups[i][0] is None:
             extras.append(args[i])
             i += 1
             continue
-        flag, value = kinds[i]
+        flag, value = lookups[i]
         i += 1
         option = flags[flag]
         name, kind = option[:2]
@@ -465,7 +465,7 @@ def _parse_options(command: Optional[str], options: Sequence[tuple],
             fields[dest] = True
             continue
         if value is None:
-            if i == len(kinds) or kinds[i] is not None:
+            if i == len(lookups) or lookups[i] is not None:
                 _usage_error(prog, f"argument {name}: expected one argument")
             value = args[i]
             i += 1
