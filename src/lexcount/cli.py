@@ -20,8 +20,8 @@ from .engine import (count_avoiders, count_extensions, format_avoiders,
                      listing, stat_gf)
 from .perms import descents, format_perm, parse_perm
 from .polys import QPoly, format_q, format_x, to_json_dict
-from .posets import (FAMILIES, GridPoset, build, canonicalize,
-                     parse_poset_spec, saw_poset, zip_poset)
+from .posets import (FAMILIES, GridPoset, build, parse_poset_spec,
+                     saw_poset, zip_poset)
 
 ORACLE_GUARD = 25
 
@@ -32,31 +32,31 @@ class Disagreement(Exception):
 
 def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
            only: Optional[str]) -> tuple[Optional[str], Optional[int]]:
-    """Run every affordable counting route (or only the one named; the
-    oracle only if ideal-dp did not run), check that they agree, and
-    return the first of formula, transfer, ideal-dp, oracle with its
-    value; (None, None) if no route is affordable."""
+    """Run every affordable counting route (or only the one named), check
+    that they agree, and return the first of formula, transfer, ideal-dp,
+    oracle with its value; (None, None) if no route is affordable.  The
+    formula and transfer routes count the poset as its plain grid with
+    its tag's pattern added; ideal-dp runs without patterns, the oracle
+    with them."""
     routes: dict[str, int] = {}
     want = lambda name: only is None or only == name
-
-    if not poset.tag:
-        # imported here, so that a cache hit skips their load
-        from . import formulas, transfer
-        prob = canonicalize(poset.family, poset.s, poset.t, patterns)
-        if want("formula"):
-            res = formulas.count_formula(prob)
-            if res is not None:
-                routes[res.provenance] = res.value
-        # 2143 is its own reverse-complement, so no other set maps to it
-        if (want("transfer") and prob.family == "EN"
-                and prob.patterns == {(2, 1, 4, 3)}):
-            routes["transfer"] = transfer.count_2143(prob.s, prob.t)
+    prob = poset.problem(patterns)
+    # each route's module is imported where it runs, so that a cache hit
+    # and the other routes skip its load
+    if want("formula"):
+        from . import formulas
+        res = formulas.count_formula(prob)
+        if res is not None:
+            routes[res.provenance] = res.value
+    # 2143 is its own reverse-complement, so no other set maps to it
+    if (want("transfer") and prob.family == "EN"
+            and prob.patterns == {(2, 1, 4, 3)}):
+        from . import transfer
+        routes["transfer"] = transfer.count_2143(prob.s, prob.t)
     if want("ideal-dp") and not patterns:
         routes["ideal-dp"] = count_extensions(poset)
-    # without patterns the oracle is ideal-dp's DP: it runs only in its
-    # place and, like it, on any number of elements
-    if want("oracle") and "ideal-dp" not in routes:
-        if poset.n <= ORACLE_GUARD or force or not patterns:
+    if want("oracle") and patterns:
+        if poset.n <= ORACLE_GUARD or force:
             routes["oracle"] = count_avoiders(poset, patterns)
         elif only == "oracle":
             raise ValueError(
@@ -286,11 +286,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# The command line.  A command is (help, handler, cacheable, options), and
-# an option is (flag, kind, default, required, help).  Its kind is FLAG
-# (takes no value, sets True), APPEND (each use adds its value to a list),
-# a tuple of the values allowed, or the function that converts its value
-# (str or _positive_int).
+# The command line.  A command is (help, cacheable, options), and the
+# module's cmd_<command> runs it.  An option is (flag, kind, default,
+# required, help).  Its kind is FLAG (takes no value, sets True), APPEND
+# (each use adds its value to a list), a tuple of the values allowed, or
+# the function that converts its value (str or _positive_int).
 FLAG, APPEND = "flag", "append"
 HELP = ("-h/--help", FLAG, False, False, "show this help and exit")
 CACHE_DIR = ("--cache-dir", str, None, False,
@@ -304,41 +304,39 @@ FORCE = ("--force", FLAG, False, False,
          "list and qpoly")
 AVOID = ("--avoid", APPEND, (), False, "pattern to avoid (repeatable)")
 COMMANDS = {
-    "count": ("count avoiding extensions", cmd_count, True, (
+    "count": ("count avoiding extensions", True, (
         POSET, FORMAT, FORCE, AVOID,
         ("--route", ("formula", "transfer", "ideal-dp", "oracle"), None,
          False, "run only this counting route"))),
-    "list": ("list avoiding extensions", cmd_list, False,
-             (POSET, NO_CSV, FORCE, AVOID)),
-    "table": ("grid of counts over (s, t)", cmd_table, True, (
+    "list": ("list avoiding extensions", False, (POSET, NO_CSV, FORCE, AVOID)),
+    "table": ("grid of counts over (s, t)", True, (
         FORMAT, FORCE,
         ("--family", str, None, True, f"one of {', '.join(FAMILIES)}"),
         AVOID,
         ("--max-s", _positive_int, None, True, "largest s"),
         ("--max-t", _positive_int, None, True, "largest t"))),
-    "qpoly": ("statistic generating function", cmd_qpoly, True, (
+    "qpoly": ("statistic generating function", True, (
         POSET, FORMAT, FORCE, AVOID,
         ("--stat", ("inv", "maj"), "inv", False, "the statistic"))),
-    "bijection": ("apply a bijection or its inverse", cmd_bijection, False, (
+    "bijection": ("apply a bijection or its inverse", False, (
         POSET, NO_CSV,
         ("--kind", ("tableau", "fcpath", "zipper"), None, True,
          "the bijection"),
         ("--perm", str, None, False, "extension to encode"),
         ("--word", str, None, False, "encoded object to decode (path "
          "string, zipper tokens, or tableau JSON)"))),
-    "charpoly": ("characteristic polynomial of the transfer matrix",
-                 cmd_charpoly, False, (
-                     ("--t", _positive_int, None, True,
-                      "size of the transfer matrix B_t"), FORMAT)),
+    "charpoly": ("characteristic polynomial of the transfer matrix", False, (
+        ("--t", _positive_int, None, True, "size of the transfer matrix B_t"),
+        FORMAT)),
     # no csv: the free-text details contain commas
-    "verify": ("run a verification suite", cmd_verify, False, (
+    "verify": ("run a verification suite", False, (
         ("--suite", ("theorems", "conjectures"), None, True, "which suite"),
         ("--fast", FLAG, False, False,
          "smaller size limits for a quicker pass"), NO_CSV)),
 }
 # the options before the command, in the same form
 TOP = ("Exact enumeration of pattern-avoiding linear extensions of "
-       "rectangular posets", None, False, (CACHE_DIR,))
+       "rectangular posets", False, (CACHE_DIR,))
 
 
 def _usage_error(prog: str, message: str) -> NoReturn:
@@ -379,7 +377,7 @@ def _lookup(prog: str, flags: dict, arg: str) -> Optional[tuple]:
 def _help(command: Optional[str]) -> str:
     """The --help text of lexcount (command None) or of one command: a
     usage line, the description, and a line per command and option."""
-    about, _, _, options = COMMANDS[command] if command else TOP
+    about, _, options = COMMANDS[command] if command else TOP
     spelled = [_spelling(o) for o in options]
     usage = [f"usage: {_prog(command)} [-h]"] + [
         text if o[3] else f"[{text}]" for o, text in zip(options, spelled)]
@@ -496,21 +494,24 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     SystemExit(1); -h prints the help on stdout and raises SystemExit(0)."""
     argv = list(argv)
     fields: dict = {}
-    i, extras = _parse_options(None, TOP[3], argv, fields)
+    i, extras = _parse_options(None, TOP[2], argv, fields)
     if argv[i:] in ([], ["--"]):
         _usage_error("lexcount", "the following arguments are required: "
                                  "command")
     command = fields["command"] = argv[i]
     if command not in COMMANDS:
         _invalid_choice("lexcount", "command", command, COMMANDS)
-    _, func, cacheable, options = COMMANDS[command]
+    _, cacheable, options = COMMANDS[command]
     rest = argv[i + 1:]
     j, unknown = _parse_options(command, options, rest, fields)
     extras += unknown + rest[j:]
     if extras:
         _usage_error("lexcount",
                      f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**fields, func=func, cacheable=cacheable)
+    # looked up by name here, so that a caller that replaces a handler in
+    # this module's globals (a tracer, a test) runs its replacement
+    return SimpleNamespace(**fields, func=globals()[f"cmd_{command}"],
+                           cacheable=cacheable)
 
 
 def build_parser() -> SimpleNamespace:

@@ -26,14 +26,6 @@ def perm(entries: Iterable[int]) -> Perm:
     return p
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
-def decreasing(n: int) -> Perm:
-    return tuple(range(n, 0, -1))
-
-
 def reverse(pi: Sequence[int]) -> Perm:
     return tuple(reversed(pi))
 

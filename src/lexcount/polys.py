@@ -4,8 +4,8 @@ Exact one-variable integer polynomials as coefficient tuples.
 A polynomial is a tuple of arbitrary-precision integers indexed by the
 power of the variable, with trailing zeros trimmed; the zero polynomial
 is the empty tuple.  This is deliberately minimal: the rest of the
-package needs nothing beyond ring arithmetic, shifts, coefficient
-reversal, evaluation, and two pretty-printers (variable q for statistic
+package needs nothing beyond addition and multiplication, shifts,
+coefficient reversal, and two pretty-printers (variable q for statistic
 generating functions, variable x for characteristic polynomials).
 """
 from __future__ import annotations
@@ -13,9 +13,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 QPoly = tuple[int, ...]
-
-ZERO: QPoly = ()
-ONE: QPoly = (1,)
 
 
 def poly(coeffs: Iterable[int]) -> QPoly:
@@ -38,10 +35,6 @@ def add(a: Sequence[int], b: Sequence[int]) -> QPoly:
     n = max(len(a), len(b))
     return poly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                 for i in range(n))
-
-
-def sub(a: Sequence[int], b: Sequence[int]) -> QPoly:
-    return add(a, [-c for c in b])
 
 
 def mul(a: Sequence[int], b: Sequence[int]) -> QPoly:
@@ -72,17 +65,6 @@ def reverse_on_degree(a: Sequence[int], d: int) -> QPoly:
     if d < degree(a):
         raise ValueError(f"d={d} is below the degree {degree(a)}")
     return poly((a[d - i] if 0 <= d - i < len(a) else 0) for i in range(d + 1))
-
-
-def eval_at_one(a: Sequence[int]) -> int:
-    return sum(a)
-
-
-def eval_at(a: Sequence[int], x: int) -> int:
-    out = 0
-    for c in reversed(a):
-        out = out * x + c
-    return out
 
 
 def monomial(k: int, c: int = 1) -> QPoly:

@@ -18,6 +18,10 @@ reverses every extension):
     SW(s,t) = dual NE(s,t)    SE(s,t) = dual NE(t,s)
 
 CLI spec strings look like "EN:4x3", optionally suffixed "+saw" or "+zip".
+`TAGS` is the one table of these augmentations: each tag's constructor
+and the pattern whose avoiders on the EN grid are the tagged poset's
+linear extensions.  Spec parsing, the CLI's counting routes and the
+verify suite all read it.
 """
 from __future__ import annotations
 
@@ -135,6 +139,13 @@ class GridPoset(_GridFields):
                 raise ValueError(f"element {x} out of range 1..{self.n}")
         return bool(self._closure[b - 1] >> (a - 1) & 1)
 
+    def problem(self, patterns: Iterable[Sequence[int]] = ()
+                ) -> CanonicalProblem:
+        """The canonical problem that counts this poset's extensions
+        avoiding patterns: its plain grid's, with its tag's pattern added."""
+        tagged = [TAGS[self.tag][1]] if self.tag else []
+        return canonicalize(self.family, self.s, self.t, [*patterns, *tagged])
+
     def spec_string(self) -> str:
         suffix = f"+{self.tag}" if self.tag else ""
         return f"{self.family}:{self.s}x{self.t}{suffix}"
@@ -182,8 +193,9 @@ def zip_poset(s: int, t: int) -> GridPoset:
     return base._replace(extra_before=extra, tag="zip")
 
 
-def empty_poset() -> GridPoset:
-    return GridPoset("EN", 0, 1)
+# tag -> (constructor, pattern): the tagged poset's linear extensions are
+# exactly the EN grid's that avoid the pattern (Sec. 4 and Sec. 5)
+TAGS = {"saw": (saw_poset, (1, 2, 4, 3)), "zip": (zip_poset, (2, 1, 4, 3))}
 
 
 class CanonicalProblem(NamedTuple):
@@ -209,17 +221,20 @@ def canonicalize(family: str, s: int, t: int,
                             s=s, t=t, patterns=ps)
 
 
-_SPEC_RE = re.compile(r"^([A-Z]{2}):(\d+)x(\d+)(\+saw|\+zip)?$")
+_SPEC_RE = re.compile(r"^([A-Z]{2}):(\d+)x(\d+)(?:\+(%s))?$"
+                      % "|".join(TAGS))
 
 
 def parse_poset_spec(text: str) -> GridPoset:
     """Parse a CLI poset spec like "EN:4x3", "EN:4x3+saw", "SW:2x4"."""
     m = _SPEC_RE.match(text.strip())
     if not m:
-        raise ValueError(f"bad poset spec {text!r}; expected FAMILY:SxT[+saw|+zip]")
-    family, s, t, suffix = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
-    if suffix and family != "EN":
-        raise ValueError(f"{suffix[1:]} augmentation is defined on EN only")
-    if not suffix or s == 0 or t == 0:
+        tags = "|".join(f"+{tag}" for tag in TAGS)
+        raise ValueError(
+            f"bad poset spec {text!r}; expected FAMILY:SxT[{tags}]")
+    family, s, t, tag = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
+    if tag and family != "EN":
+        raise ValueError(f"{tag} augmentation is defined on EN only")
+    if not tag or s == 0 or t == 0:
         return build(family, s, t)  # which refuses a zero dimension
-    return saw_poset(s, t) if suffix == "+saw" else zip_poset(s, t)
+    return TAGS[tag][0](s, t)

@@ -16,7 +16,7 @@ from . import formulas, gentree, paths, qstats, transfer
 from .engine import avoiders, count_avoiders, count_extensions
 from .perms import Perm, reverse_complement
 from .polys import QPoly, degree, format_q, is_unimodal, poly
-from .posets import build, canonicalize, saw_poset, zip_poset
+from .posets import TAGS, build, canonicalize
 
 
 class CheckResult(NamedTuple):
@@ -107,13 +107,11 @@ def check_gentree(max_n: int = 14) -> CheckResult:
 
 
 def check_saw_zip_posets(max_n: int = 12) -> CheckResult:
-    """The two augmented posets carve out exactly the avoider sets."""
+    """Each augmented poset of TAGS carves out exactly its avoider set."""
     return _compare("sawblade/zipper posets vs avoider sets", (
-        row for s, t in _shapes(max_n) for row in (
-            (f"saw {s}x{t}", count_extensions(saw_poset(s, t)),
-             sum(1 for _ in avoiders(build("EN", s, t), [(1, 2, 4, 3)]))),
-            (f"zip {s}x{t}", count_extensions(zip_poset(s, t)),
-             sum(1 for _ in avoiders(build("EN", s, t), [(2, 1, 4, 3)]))))))
+        (f"{tag} {s}x{t}", count_extensions(make(s, t)),
+         sum(1 for _ in avoiders(build("EN", s, t), [pattern])))
+        for s, t in _shapes(max_n) for tag, (make, pattern) in TAGS.items()))
 
 
 def check_b_matrix(max_n: int = 8, oracle_n: int = 6) -> CheckResult:

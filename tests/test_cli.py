@@ -76,20 +76,24 @@ class TestCount:
         assert code == 0
         assert out.splitlines()[0] == "55"
 
-    @pytest.mark.parametrize("spec", ["EN:1x3+saw", "EN:4x1+saw",
-                                      "EN:3x1+zip"])
-    def test_augmented_poset_echo(self, run, spec):
-        # the echo is the spec as given, tag included, t = 1 too
+    @pytest.mark.parametrize("spec, route", [
+        ("EN:1x3+saw", "Cor4.6"), ("EN:4x1+saw", "Cor4.6"),
+        ("EN:3x1+zip", "Thm5.9i")], ids=["EN:1x3+saw", "EN:4x1+saw",
+                                          "EN:3x1+zip"])
+    def test_augmented_poset_echo(self, run, spec, route):
+        # the echo is the spec as given, tag included, t = 1 too; the
+        # route is the plain grid's formula for the tag's pattern
         code, out, _ = run("count", "--poset", spec, "--format", "json")
         assert code == 0
-        assert json.loads(out) == {"value": 1, "route": "ideal-dp",
+        assert json.loads(out) == {"value": 1, "route": route,
                                    "poset": spec, "patterns": []}
 
     def test_augmented_poset_past_oracle_guard(self, run):
-        # 36 elements: beyond ORACLE_GUARD, answered by the DP alone
+        # 36 elements: beyond ORACLE_GUARD, answered by the DP and by the
+        # formula of EN:6x6 avoiding 1243
         code, out, _ = run("count", "--poset", "EN:6x6+saw")
         assert code == 0
-        assert out == "62832\nroute: ideal-dp"
+        assert out == "62832\nroute: Cor4.6"
 
     def test_plain_count_runs_dp_once(self, run, monkeypatch):
         def refuse(*args):
@@ -97,7 +101,14 @@ class TestCount:
         monkeypatch.setattr(cli, "count_avoiders", refuse)
         code, out, _ = run("count", "--poset", "EN:4x3+saw")
         assert code == 0
-        assert out == "55\nroute: ideal-dp"
+        assert out == "55\nroute: Cor4.6"
+
+    def test_every_small_augmented_poset_agrees(self, run):
+        # formula, transfer and ideal-dp, where they run, give one count
+        for spec in [f"EN:{s}x{t}+{tag}" for tag in ("saw", "zip")
+                     for s in range(1, 25) for t in range(1, 24 // s + 1)]:
+            code, out, err = run("count", "--poset", spec)
+            assert (code, err) == (0, ""), (spec, out)
 
     def test_size_guard(self, run):
         code, out, err = run("count", "--poset", "EN:6x6", "--avoid", "12345",
@@ -105,10 +116,18 @@ class TestCount:
         assert code == 1
         assert "force" in err
 
-    def test_oracle_without_patterns_past_the_guard(self, run):
-        # without patterns the oracle runs ideal-dp's DP, on any size
-        code, out, err = run("count", "--poset", "EN:6x6", "--route", "oracle")
-        assert (code, out, err) == (0, "1671643033734960\nroute: oracle", "")
+    @pytest.mark.parametrize("argv", [
+        ["--poset", "EN:6x6", "--route", "oracle"],
+        ["--poset", "EN:2x2+zip", "--route", "oracle"],
+        ["--poset", "EN:2x2", "--avoid", "12", "--route", "ideal-dp"]],
+        ids=" ".join)
+    def test_dp_route_outside_its_condition(self, run, argv):
+        # ideal-dp runs only without patterns, the oracle only with them
+        code, out, err = run("count", *argv)
+        route = argv[argv.index("--route") + 1]
+        assert (code, out, err) == (
+            1, "", f"error: route {route!r} is not available for this "
+                   "problem\n")
 
     def test_bad_poset_spec(self, run):
         code, _, err = run("count", "--poset", "EN:4y3")
@@ -159,6 +178,20 @@ class TestDisagreement:
         assert out == ("route disagreement: Thm5.9i=1, oracle=1, "
                        "transfer=2 at (1,1)")
         assert err == ""
+        assert not list(tmp_path.iterdir())
+
+
+class TestFormulaDisagreement:
+    def test_augmented_count_exits_2(self, run, tmp_path, monkeypatch):
+        import lexcount.formulas
+        real = lexcount.formulas.count_formula
+        monkeypatch.setattr(lexcount.formulas, "count_formula",
+                            lambda prob: real(prob)._replace(
+                                value=real(prob).value + 1))
+        code, out, err = run("--cache-dir", str(tmp_path), "count",
+                             "--poset", "EN:4x3+saw")
+        assert (code, out, err) == (
+            2, "route disagreement: Cor4.6=56, ideal-dp=55", "")
         assert not list(tmp_path.iterdir())
 
 
@@ -448,6 +481,8 @@ GOLDEN_ARGVS = [
         ("count", ["--poset", "NE:3x3", "--avoid", "213", "--avoid", "123"],
          ("plain", "json", "csv")),
         ("count", ["--poset", "EN:3x4+zip"], ("plain", "json", "csv")),
+        ("count", ["--poset", "EN:4x3+saw", "--route", "ideal-dp"],
+         ("plain",)),
         ("list", ["--poset", "EN:3x2", "--avoid", "2143"], ("plain", "json")),
         ("list", ["--poset", "EN:2x2", "--avoid", "1"], ("plain", "json")),
         # n = 12: comma-separated lines
@@ -494,6 +529,7 @@ GOLDEN_ARGVS = [
         ("count", ["--poset", "EN:6x6", "--avoid", "12345",
                    "--route", "oracle"], ("plain",)),
         ("count", ["--poset", "EN:3x3", "--route", "transfer"], ("plain",)),
+        ("count", ["--poset", "EN:2x2", "--route", "oracle"], ("plain",)),
         ("count", ["--poset", "EN:4y3"], ("json",)),
         ("qpoly", ["--poset", "EN:2x2", "--avoid", "122"], ("csv",)),
         ("table", ["--family", "XY", "--max-s", "2", "--max-t", "2"],
@@ -700,6 +736,21 @@ class TestProcess:
         second = fresh(*argv)
         assert (second.returncode, second.stdout) == (0, "served\n")
 
+    @pytest.mark.parametrize("argv, wanted", [
+        ("--poset EN:4x3+saw --route ideal-dp", ""),
+        ("--poset EN:4x4 --route ideal-dp", ""),
+        ("--poset EN:4x4 --avoid 2143 --route transfer", "transfer"),
+        ("--poset EN:4x3+zip --route formula", "formulas"),
+        ("--poset EN:4x3+zip", "formulas transfer")],
+        ids=lambda v: v or "none")
+    def test_count_loads_only_the_routes_it_runs(self, argv, wanted):
+        r = fresh("-c", "import sys; from lexcount.cli import main; "
+                  f"code = main(['count', *{argv.split()!r}]); "
+                  "print(*sys.modules, file=sys.stderr); sys.exit(code)")
+        assert r.returncode == 0
+        assert set(r.stderr.split()) & LAZY == {
+            f"lexcount.{name}" for name in wanted.split()}
+
     def test_python_dash_m(self):
         r = fresh("-m", "lexcount", "count", "--poset", "EN:2x2")
         assert (r.returncode, r.stdout, r.stderr) == (
@@ -804,6 +855,14 @@ class TestFreeze:
 
 
 class TestUsage:
+    def test_handler_is_looked_up_by_name(self, run, monkeypatch):
+        # a replacement in the module's globals runs, as a tracer's does
+        monkeypatch.setattr(cli, "cmd_count",
+                            lambda args: (0, f"patched {args.poset}"))
+        assert run("count", "--poset", "EN:2x2") == (0, "patched EN:2x2", "")
+        assert cli.parse_args(["count", "--poset", "EN:2x2"]).func is (
+            cli.cmd_count)
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
         capsys.readouterr()
@@ -837,8 +896,8 @@ class TestUsage:
             assert f"  {flag}" in out
             if action.choices:
                 assert f"{flag} {{{','.join(action.choices)}}}" in out
-        assert [o[0] for o in cli.COMMANDS[command][3]] == flags
-        for option in cli.COMMANDS[command][3]:
+        assert [o[0] for o in cli.COMMANDS[command][2]] == flags
+        for option in cli.COMMANDS[command][2]:
             assert option[4] in out
 
     @pytest.mark.parametrize("argv, message", [
