@@ -16,14 +16,13 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NoReturn, Optional, Sequence
 
-from .engine import (count_avoiders, count_extensions, format_avoiders,
-                     listing, stat_gf)
+from .engine import count_avoiders, format_avoiders, listing, stat_gf
 from .perms import descents, format_perm, parse_perm
 from .polys import QPoly, format_q, format_x, to_json_dict
 from .posets import (FAMILIES, GridPoset, build, parse_poset_spec,
                      saw_poset, zip_poset)
 
-ORACLE_GUARD = 25
+DP_GUARD = 25
 
 
 class Disagreement(Exception):
@@ -33,11 +32,11 @@ class Disagreement(Exception):
 def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
            only: Optional[str]) -> tuple[Optional[str], Optional[int]]:
     """Run every affordable counting route (or only the one named), check
-    that they agree, and return the first of formula, transfer, ideal-dp,
-    oracle with its value; (None, None) if no route is affordable.  The
-    formula and transfer routes count the poset as its plain grid with
-    its tag's pattern added; ideal-dp runs without patterns, the oracle
-    with them."""
+    that they agree, and return the first of formula, transfer, ideal-dp
+    with its value; (None, None) if no route is affordable.  The formula
+    and transfer routes count the poset as its plain grid with its tag's
+    pattern added; ideal-dp is the order-ideal DP on the poset itself,
+    which with patterns runs up to DP_GUARD elements unless forced."""
     routes: dict[str, int] = {}
     want = lambda name: only is None or only == name
     prob = poset.problem(patterns)
@@ -53,14 +52,12 @@ def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
             and prob.patterns == {(2, 1, 4, 3)}):
         from . import transfer
         routes["transfer"] = transfer.count_2143(prob.s, prob.t)
-    if want("ideal-dp") and not patterns:
-        routes["ideal-dp"] = count_extensions(poset)
-    if want("oracle") and patterns:
-        if poset.n <= ORACLE_GUARD or force:
-            routes["oracle"] = count_avoiders(poset, patterns)
-        elif only == "oracle":
+    if want("ideal-dp"):
+        if not patterns or poset.n <= DP_GUARD or force:
+            routes["ideal-dp"] = count_avoiders(poset, patterns)
+        elif only == "ideal-dp":
             raise ValueError(
-                f"oracle route refused for {poset.n} elements; pass --force")
+                f"ideal-dp route refused for {poset.n} elements; pass --force")
     if only is not None and not routes:
         raise ValueError(f"route {only!r} is not available for this problem")
     if len(set(routes.values())) > 1:
@@ -72,11 +69,11 @@ def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
 def _read(args: SimpleNamespace, refuse: str = ""
           ) -> tuple[Optional[GridPoset], list[tuple[int, ...]], dict]:
     """The parsed --poset and --avoid of a subcommand that takes them, and
-    their json echo.  With `refuse`, a poset of more than ORACLE_GUARD
+    their json echo.  With `refuse`, a poset of more than DP_GUARD
     elements is refused without --force."""
     poset = parse_poset_spec(args.poset) if hasattr(args, "poset") else None
     patterns = [parse_perm(p) for p in getattr(args, "avoid", ())]
-    if refuse and poset.n > ORACLE_GUARD and not args.force:
+    if refuse and poset.n > DP_GUARD and not args.force:
         raise ValueError(f"{refuse} refused for {poset.n} elements; "
                          "pass --force")
     echo = {} if poset is None else {"poset": poset.spec_string()}
@@ -102,7 +99,7 @@ def cmd_count(args: SimpleNamespace) -> tuple[int, str]:
     if route is None:
         raise ValueError(
             f"no affordable route for {poset.n} elements; pass --force "
-            "to run the oracle anyway")
+            "to run the ideal-dp route anyway")
     return 0, _render(args, f"{value}\nroute: {route}",
                       {**echo, "value": value, "route": route},
                       [("value", "route"), (value, route)])
@@ -300,14 +297,14 @@ FORMAT = ("--format", ("plain", "json", "csv"), "plain", False,
           "output format")
 NO_CSV = ("--format", ("plain", "json"), "plain", False, "output format")
 FORCE = ("--force", FLAG, False, False,
-         f"lift the {ORACLE_GUARD}-element limit on the oracle route, "
-         "list and qpoly")
+         f"lift the {DP_GUARD}-element limit on the ideal-dp route with "
+         "patterns, list and qpoly")
 AVOID = ("--avoid", APPEND, (), False, "pattern to avoid (repeatable)")
 COMMANDS = {
     "count": ("count avoiding extensions", True, (
         POSET, FORMAT, FORCE, AVOID,
-        ("--route", ("formula", "transfer", "ideal-dp", "oracle"), None,
-         False, "run only this counting route"))),
+        ("--route", ("formula", "transfer", "ideal-dp"), None, False,
+         "run only this counting route"))),
     "list": ("list avoiding extensions", False, (POSET, NO_CSV, FORCE, AVOID)),
     "table": ("grid of counts over (s, t)", True, (
         FORMAT, FORCE,

@@ -176,10 +176,10 @@ def check_bijections(max_n: int = 12) -> CheckResult:
               lambda T, s, t: paths.is_standard_tableau(T),
               lambda T, s, t: paths.tableau_to_ext(T),
               paths.standard_tableaux),
-             ("fcpath", [(1, 2, 4, 3)], paths.ext_to_fcpath,
+             ("fcpath", [TAGS["saw"][1]], paths.ext_to_fcpath,
               lambda w, s, t: paths.is_fuss_catalan(w, t),
               paths.fcpath_to_ext, paths.fc_paths),
-             ("zipper", [(2, 1, 4, 3)], paths.ext_to_zipper, paths.is_zipper,
+             ("zipper", [TAGS["zip"][1]], paths.ext_to_zipper, paths.is_zipper,
               paths.zipper_to_ext, paths.zippers))
     failures, n_inst = [], 0
     for s, t in _shapes(max_n):

@@ -89,19 +89,24 @@ class TestCount:
                                    "poset": spec, "patterns": []}
 
     def test_augmented_poset_past_oracle_guard(self, run):
-        # 36 elements: beyond ORACLE_GUARD, answered by the DP and by the
+        # 36 elements: beyond DP_GUARD, answered by the DP and by the
         # formula of EN:6x6 avoiding 1243
         code, out, _ = run("count", "--poset", "EN:6x6+saw")
         assert code == 0
         assert out == "62832\nroute: Cor4.6"
 
     def test_plain_count_runs_dp_once(self, run, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("oracle ran beside ideal-dp")
-        monkeypatch.setattr(cli, "count_avoiders", refuse)
-        code, out, _ = run("count", "--poset", "EN:4x3+saw")
-        assert code == 0
-        assert out == "55\nroute: Cor4.6"
+        from lexcount import engine
+        calls, real = [], engine._avoider_dp
+        monkeypatch.setattr(engine, "_avoider_dp",
+                            lambda *a: calls.append(a) or real(*a))
+        for argv, want in [
+                (["--poset", "EN:4x3+saw"], "55\nroute: Cor4.6"),
+                (["--poset", "EN:4x4", "--avoid", "1324"],
+                 "785\nroute: ideal-dp")]:
+            calls.clear()
+            assert run("count", *argv) == (0, want, "")
+            assert len(calls) == 1, argv
 
     def test_every_small_augmented_poset_agrees(self, run):
         # formula, transfer and ideal-dp, where they run, give one count
@@ -112,22 +117,9 @@ class TestCount:
 
     def test_size_guard(self, run):
         code, out, err = run("count", "--poset", "EN:6x6", "--avoid", "12345",
-                             "--route", "oracle")
+                             "--route", "ideal-dp")
         assert code == 1
         assert "force" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["--poset", "EN:6x6", "--route", "oracle"],
-        ["--poset", "EN:2x2+zip", "--route", "oracle"],
-        ["--poset", "EN:2x2", "--avoid", "12", "--route", "ideal-dp"]],
-        ids=" ".join)
-    def test_dp_route_outside_its_condition(self, run, argv):
-        # ideal-dp runs only without patterns, the oracle only with them
-        code, out, err = run("count", *argv)
-        route = argv[argv.index("--route") + 1]
-        assert (code, out, err) == (
-            1, "", f"error: route {route!r} is not available for this "
-                   "problem\n")
 
     def test_bad_poset_spec(self, run):
         code, _, err = run("count", "--poset", "EN:4y3")
@@ -153,6 +145,38 @@ class TestCount:
         assert out.splitlines()[0] == "21"
 
 
+class TestRoute:
+    """--route runs one route alone, under its own label."""
+
+    @pytest.mark.parametrize("route, label", [
+        ("formula", "Thm5.9iii"), ("transfer", "transfer"),
+        ("ideal-dp", "ideal-dp")])
+    def test_each_route_answers_alone(self, run, route, label):
+        assert run("count", "--poset", "EN:3x3", "--avoid", "2143",
+                   "--route", route) == (0, f"21\nroute: {label}", "")
+
+    def test_dp_with_patterns(self, run):
+        assert run("count", "--poset", "EN:4x4", "--avoid", "1324",
+                   "--route", "ideal-dp") == (0, "785\nroute: ideal-dp", "")
+
+    def test_dp_past_the_guard(self, run):
+        assert run("count", "--poset", "EN:6x6", "--avoid", "12345",
+                   "--route", "ideal-dp") == (
+            1, "", "error: ideal-dp route refused for 36 elements; pass "
+                   "--force\n")
+
+    def test_force_lifts_the_guard(self, run):
+        # 27 elements and no closed form: the DP alone answers
+        assert run("count", "--poset", "NE:3x9", "--avoid", "123",
+                   "--force") == (0, "5330403\nroute: ideal-dp", "")
+
+    def test_oracle_is_not_a_route(self, run):
+        assert run("count", "--poset", "EN:2x2", "--route", "oracle") == (
+            1, "", "lexcount count: error: argument --route: invalid choice: "
+                   "'oracle' (choose from 'formula', 'transfer', "
+                   "'ideal-dp')\n")
+
+
 class TestDisagreement:
     @pytest.fixture(autouse=True)
     def broken_transfer(self, monkeypatch):
@@ -165,7 +189,7 @@ class TestDisagreement:
         code, out, err = run("--cache-dir", str(tmp_path), "count",
                              "--poset", "EN:3x3", "--avoid", "2143")
         assert code == 2
-        assert out == ("route disagreement: Thm5.9iii=21, oracle=21, "
+        assert out == ("route disagreement: Thm5.9iii=21, ideal-dp=21, "
                        "transfer=22")
         assert err == ""
         assert not list(tmp_path.iterdir())
@@ -175,7 +199,7 @@ class TestDisagreement:
                              "--family", "EN", "--avoid", "2143",
                              "--max-s", "2", "--max-t", "2")
         assert code == 2
-        assert out == ("route disagreement: Thm5.9i=1, oracle=1, "
+        assert out == ("route disagreement: Thm5.9i=1, ideal-dp=1, "
                        "transfer=2 at (1,1)")
         assert err == ""
         assert not list(tmp_path.iterdir())
@@ -483,6 +507,9 @@ GOLDEN_ARGVS = [
         ("count", ["--poset", "EN:3x4+zip"], ("plain", "json", "csv")),
         ("count", ["--poset", "EN:4x3+saw", "--route", "ideal-dp"],
          ("plain",)),
+        # a pattern count that only the DP answers
+        ("count", ["--poset", "EN:4x4", "--avoid", "1324"],
+         ("plain", "json", "csv")),
         ("list", ["--poset", "EN:3x2", "--avoid", "2143"], ("plain", "json")),
         ("list", ["--poset", "EN:2x2", "--avoid", "1"], ("plain", "json")),
         # n = 12: comma-separated lines
@@ -527,7 +554,7 @@ GOLDEN_ARGVS = [
         ("qpoly", ["--poset", "EN:6x6", "--avoid", "123"], ("plain",)),
         ("count", ["--poset", "EN:6x6", "--avoid", "1324"], ("plain",)),
         ("count", ["--poset", "EN:6x6", "--avoid", "12345",
-                   "--route", "oracle"], ("plain",)),
+                   "--route", "ideal-dp"], ("plain",)),
         ("count", ["--poset", "EN:3x3", "--route", "transfer"], ("plain",)),
         ("count", ["--poset", "EN:2x2", "--route", "oracle"], ("plain",)),
         ("count", ["--poset", "EN:4y3"], ("json",)),
@@ -600,7 +627,7 @@ class TestCache:
 
     def test_errors_not_cached(self, run, tmp_path):
         run("--cache-dir", str(tmp_path), "count", "--poset", "EN:9x9",
-            "--avoid", "12345", "--route", "oracle")
+            "--avoid", "12345", "--route", "ideal-dp")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("damage", [b'{"code": 0, "out', b"", b"[1, 2]",
@@ -978,7 +1005,7 @@ def cli_argvs(draw):
         return argv
     if cmd == "count" and draw(st.booleans()):
         argv += ["--route", draw(st.sampled_from(["formula", "transfer",
-                                                  "ideal-dp", "oracle"]))]
+                                                  "ideal-dp"]))]
     if cmd == "qpoly":
         argv += ["--stat", draw(st.sampled_from(["inv", "maj"]))]
     return argv + avoid + draw(st.lists(st.text(max_size=3), max_size=1))
@@ -1080,15 +1107,16 @@ def reference_parser():
             ("plain", "json", "csv") if csv else ("plain", "json")))
         if force:
             p.add_argument("--force", action="store_true",
-                           help=f"lift the {cli.ORACLE_GUARD}-element limit "
-                                "on the oracle route, list and qpoly")
+                           help=f"lift the {cli.DP_GUARD}-element limit on "
+                                "the ideal-dp route with patterns, list and "
+                                "qpoly")
 
     p = sub.add_parser("count", help="count avoiding extensions")
     common(p)
     p.add_argument("--avoid", action="append", default=[],
                    help="pattern to avoid (repeatable)")
-    p.add_argument("--route", choices=("formula", "transfer", "ideal-dp",
-                                       "oracle"), default=None)
+    p.add_argument("--route", choices=("formula", "transfer", "ideal-dp"),
+                   default=None)
     p.set_defaults(func=cli.cmd_count, cacheable=True)
 
     p = sub.add_parser("list", help="list avoiding extensions")
@@ -1156,15 +1184,22 @@ def parsed(parse, argv: list[str]):
     return fields
 
 
-def pool_spellings(monkeypatch) -> list[list[str]]:
-    """Five seeded spellings of every benchmark pool problem: three drawn,
-    two of them respelled, the cache dir given by flag where drawn so."""
+def load_workloads(monkeypatch):
+    """The benchmark's workloads module (perfbench/workloads.py), loaded
+    by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclass looks its module up while the class is made
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def pool_spellings(monkeypatch) -> list[list[str]]:
+    """Five seeded spellings of every benchmark pool problem: three drawn,
+    two of them respelled, the cache dir given by flag where drawn so."""
+    workloads = load_workloads(monkeypatch)
     rng = random.Random(24)
     argvs = []
     for problem in workloads.load_pool().values():
@@ -1175,6 +1210,31 @@ def pool_spellings(monkeypatch) -> list[list[str]]:
         argvs += [["--cache-dir", "d"] * (c.cache == "flag") + list(c.argv)
                   for c in commands]
     return argvs
+
+
+class TestBenchmarkPool:
+    def test_every_problem_passes_the_benchmark_check(self, monkeypatch,
+                                                      tmp_path, capsys):
+        """Every pool.json problem, in each output format the benchmark
+        draws for its command, as the benchmark's own check reads it; a
+        command it rejects would be a failed or incorrect run there."""
+        workloads = load_workloads(monkeypatch)
+        pool = workloads.load_pool()
+        assert len(pool) == 93
+        rng = random.Random(26)
+        failures = []
+        for problem in pool.values():
+            plain = workloads.spell(problem, rng, "flag", plain=True)
+            for fmt in workloads.FORMATS[plain.cmd]:
+                c = workloads.Command(plain.problem,
+                                      (*plain.argv, "--format", fmt), fmt,
+                                      "flag", "")
+                code = main(["--cache-dir", str(tmp_path), *c.argv])
+                reason = workloads.check(problem, c, code,
+                                         capsys.readouterr().out)
+                if reason:
+                    failures.append((c.argv, reason))
+        assert failures == []
 
 
 # one word each that argparse treats specially
@@ -1222,7 +1282,7 @@ class TestAgainstArgparse:
         ["count", "--poset=", "--avoid="],
         ["charpoly", "--t=0"],
         # prefixes
-        ["count", "--po", "EN:2x2", "--av", "12", "--r", "oracle"],
+        ["count", "--po", "EN:2x2", "--av", "12", "--r", "ideal-dp"],
         ["--cache", "d", "qpoly", "--pos=EN:2x2", "--s", "maj"],
         ["table", "--fa", "EN", "--max", "1"],
         ["count", "--poset", "EN:2x2", "--fo=json"],
@@ -1248,7 +1308,7 @@ class TestAgainstArgparse:
         ["--help=x"], ["count", "--poset", "EN:2x2", "--he"],
         ["count", "--poset", "EN:2x2", "--poset", "EN:3x3", "--format",
          "json", "--format", "csv", "--route", "formula", "--route",
-         "oracle"],
+         "ideal-dp"],
         ["--bogus", "count", "--poset", "EN:2x2"],
         ["--poset", "EN:2x2", "count"],
     ])
