@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -287,9 +286,10 @@ def _positive_int(text: str) -> int:
 # module's cmd_<command> runs it.  An option is (flag, kind, default,
 # required, help).  Its kind is FLAG (takes no value, sets True), APPEND
 # (each use adds its value to a list), a tuple of the values allowed, or
-# the function that converts its value (str or _positive_int).
+# the function that converts its value (str or _positive_int).  _plain
+# reads a plain command line from these rows; argparse, built from the
+# same rows, reads every other one.
 FLAG, APPEND = "flag", "append"
-HELP = ("-h/--help", FLAG, False, False, "show this help and exit")
 CACHE_DIR = ("--cache-dir", str, None, False,
              "directory for memoized results (or set LEXCOUNT_CACHE_DIR)")
 POSET = ("--poset", str, None, True, "poset spec, e.g. EN:4x3 or EN:4x3+saw")
@@ -331,80 +331,6 @@ COMMANDS = {
         ("--fast", FLAG, False, False,
          "smaller size limits for a quicker pass"), NO_CSV)),
 }
-# the options before the command, in the same form
-TOP = ("Exact enumeration of pattern-avoiding linear extensions of "
-       "rectangular posets", False, (CACHE_DIR,))
-
-
-def _usage_error(prog: str, message: str) -> NoReturn:
-    """Report a usage error as one line on stderr, with the line breaks of
-    a stray argument escaped, and exit 1; 2 is the disagreement code."""
-    message = "\\n".join(message.splitlines())
-    print(f"{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(1)
-
-
-def _lookup(prog: str, flags: dict, arg: str) -> Optional[tuple]:
-    """What one argument before `--` is: None for a value (negative
-    numbers and text with a space included), (flag, text after its = or
-    None) for an option in flags, (None, None) for an unknown option.  A
-    unique prefix names a long option; -hX is -h given X."""
-    if arg[:1] != "-" or arg == "-":
-        return None
-    if arg in flags:
-        return arg, None
-    name, eq, value = arg.partition("=")
-    if eq and name in flags:
-        return name, value
-    if arg[1] == "-":
-        found = [(f, value if eq else None) for f in flags
-                 if f.startswith(name)]
-    else:
-        found = [(f, arg[2:]) for f in flags if f == arg[:2]]
-    if len(found) > 1:
-        _usage_error(prog, f"ambiguous option: {arg} could match "
-                     + ", ".join(f for f, _ in found))
-    if found:
-        return found[0]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
-        return None
-    return None, None
-
-
-def _help(command: Optional[str]) -> str:
-    """The --help text of lexcount (command None) or of one command: a
-    usage line, the description, and a line per command and option."""
-    about, _, options = COMMANDS[command] if command else TOP
-    spelled = [_spelling(o) for o in options]
-    usage = [f"usage: {_prog(command)} [-h]"] + [
-        text if o[3] else f"[{text}]" for o, text in zip(options, spelled)]
-    lines = [" ".join(usage), "", about]
-    if not command:
-        lines[0] += " <command> ..."
-        lines += ["", "commands:", *_columns(
-            [(name, row[0]) for name, row in COMMANDS.items()])]
-    rows = [("-h, --help", HELP[4])] + [
-        (text, o[4]) for o, text in zip(options, spelled)]
-    return "\n".join(lines + ["", "options:", *_columns(rows)])
-
-
-def _prog(command: Optional[str]) -> str:
-    return f"lexcount {command}" if command else "lexcount"
-
-
-def _spelling(option: tuple) -> str:
-    """An option as the help writes it: its flag and what it takes."""
-    flag, kind = option[:2]
-    if kind == FLAG:
-        return flag
-    if isinstance(kind, tuple):
-        return f"{flag} {{{','.join(kind)}}}"
-    return f"{flag} {_dest(flag).upper()}"
-
-
-def _columns(rows: list[tuple[str, str]]) -> list[str]:
-    width = max(len(left) for left, _ in rows)
-    return [f"  {left.ljust(width)}  {right}" for left, right in rows]
 
 
 def _dest(flag: str) -> str:
@@ -412,108 +338,131 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _invalid_choice(prog: str, name: str, value: str,
-                    choices: Sequence[str]) -> NoReturn:
-    _usage_error(prog, f"argument {name}: invalid choice: {value!r} "
-                       f"(choose from {', '.join(map(repr, choices))})")
-
-
-def _parse_options(command: Optional[str], options: Sequence[tuple],
-                   args: list[str], fields: dict) -> tuple[int, list[str]]:
-    """Set fields from args, as argparse does, by the options of one
-    command, or of the top level (command None), which stops at its first
-    value or `--`, the command.  Every option starts at its default, and
-    the last value of a single-valued one wins; -h prints the help and
-    exits 0.  Return where parsing stopped and the arguments not
-    understood."""
-    prog = _prog(command)
-    fields.update((_dest(o[0]), list(o[2]) if o[1] == APPEND else o[2])
-                  for o in options)
-    flags = {"-h": HELP, "--help": HELP, **{o[0]: o for o in options}}
-    lookups = []  # every argument is looked up first, as argparse does
-    for arg in args:
-        if arg == "--":
-            break
-        lookups.append(_lookup(prog, flags, arg))
-    extras, seen, i = [], set(), 0
-    while i < len(lookups):
-        if lookups[i] is None and command is None:
-            break
-        if lookups[i] is None or lookups[i][0] is None:
-            extras.append(args[i])
-            i += 1
-            continue
-        flag, value = lookups[i]
-        i += 1
-        option = flags[flag]
-        name, kind = option[:2]
-        seen.add(name)
-        dest = _dest(name)
+def _plain(argv: Sequence[str]) -> Optional[dict]:
+    """The fields of a plain command line, or None for any other: any
+    number of leading `--cache-dir DIR` pairs, a command, then exact flags
+    of the command, where a value does not start with -, a choice is one
+    of its choices, an int converts and every required option is given.
+    Argparse sets the same fields from such a line."""
+    fields: dict = {"cache_dir": None}
+    args = iter(argv)
+    command = next(args, "")
+    while command == CACHE_DIR[0]:
+        fields["cache_dir"] = next(args, "-")
+        if fields["cache_dir"][:1] == "-":
+            return None
+        command = next(args, "")
+    if command not in COMMANDS:
+        return None
+    fields["command"] = command
+    options = {o[0]: o for o in COMMANDS[command][2]}
+    fields.update((_dest(flag), [] if kind == APPEND else default)
+                  for flag, kind, default, _, _ in options.values())
+    missing = {flag for flag, _, _, required, _ in options.values()
+               if required}
+    for flag in args:
+        if flag not in options:
+            return None
+        missing.discard(flag)
+        kind, dest = options[flag][1], _dest(flag)
         if kind == FLAG:
-            if value is not None:
-                rest = value.lstrip("h") if flag == "-h" else value
-                if value == "" or rest:  # -hh is -h -h
-                    _usage_error(prog, f"argument {name}: ignored explicit "
-                                       f"argument {rest!r}")
-            if option is HELP:
-                raise SystemExit(0 if _emit(_help(command)) else 1)
             fields[dest] = True
             continue
-        if value is None:
-            if i == len(lookups) or lookups[i] is not None:
-                _usage_error(prog, f"argument {name}: expected one argument")
-            value = args[i]
-            i += 1
+        value = next(args, "-")
+        if value[:1] == "-":
+            return None
         if kind == APPEND:
             fields[dest].append(value)
             continue
         if isinstance(kind, tuple):
             if value not in kind:
-                _invalid_choice(prog, name, value, kind)
+                return None
         else:
             try:
                 value = kind(value)
-            except ValueError as e:
-                _usage_error(prog, f"argument {name}: {e}")
+            except ValueError:
+                return None
         fields[dest] = value
-    missing = [o[0] for o in options if o[3] and o[0] not in seen]
-    if missing:
-        _usage_error(prog, "the following arguments are required: "
-                     + ", ".join(missing))
-    return i, extras
+    return None if missing else fields
+
+
+def _argparser():
+    """The argparse parser of the same rows, for the command lines _plain
+    declines: -h, --, --flag=value, abbreviations, values that start with
+    -, strays and every usage error.  It is imported only here, so that a
+    plain command line never loads argparse, gettext or locale."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            """One line on stderr, with the line breaks of a stray
+            argument escaped, and exit 1; 2 is the disagreement code."""
+            message = "\\n".join(message.splitlines())
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+        def print_help(self, file=None) -> None:
+            """The help through _emit: exit 1 if stdout is closed."""
+            if not _emit(self.format_help().rstrip("\n")):
+                raise SystemExit(1)
+
+    def typed(kind: Callable[[str], object]) -> Callable[[str], object]:
+        # argparse words a ValueError by the function's name, and an
+        # ArgumentTypeError by its message
+        def convert(text: str) -> object:
+            try:
+                return kind(text)
+            except ValueError as e:
+                raise argparse.ArgumentTypeError(str(e)) from None
+        return convert
+
+    def add(parser: Parser, options: Sequence[tuple]) -> Parser:
+        for flag, kind, default, required, about in options:
+            if kind == FLAG:
+                how = {"action": "store_true"}
+            elif kind == APPEND:
+                how, default = {"action": "append"}, []
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            else:
+                how = {"type": typed(kind)}
+            parser.add_argument(flag, default=default, required=required,
+                                help=about, **how)
+        return parser
+
+    # wide enough that every help text stays on one line
+    def wide(prog: str) -> argparse.HelpFormatter:
+        return argparse.HelpFormatter(prog, max_help_position=32, width=200)
+
+    top = add(Parser(prog="lexcount", formatter_class=wide, description=(
+        "Exact enumeration of pattern-avoiding linear extensions of "
+        "rectangular posets")), (CACHE_DIR,))
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (about, _, options) in COMMANDS.items():
+        add(sub.add_parser(name, help=about, description=about,
+                           formatter_class=wide), options)
+    return top
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     """The command line as the fields of one namespace: cache_dir, command,
     one per option of the command (its default if not given), and the
     command's func and cacheable.  Only --cache-dir and -h come before the
-    command.  A usage error prints one line on stderr and raises
-    SystemExit(1); -h prints the help on stdout and raises SystemExit(0)."""
-    argv = list(argv)
-    fields: dict = {}
-    i, extras = _parse_options(None, TOP[2], argv, fields)
-    if argv[i:] in ([], ["--"]):
-        _usage_error("lexcount", "the following arguments are required: "
-                                 "command")
-    command = fields["command"] = argv[i]
-    if command not in COMMANDS:
-        _invalid_choice("lexcount", "command", command, COMMANDS)
-    _, cacheable, options = COMMANDS[command]
-    rest = argv[i + 1:]
-    j, unknown = _parse_options(command, options, rest, fields)
-    extras += unknown + rest[j:]
-    if extras:
-        _usage_error("lexcount",
-                     f"unrecognized arguments: {' '.join(extras)}")
+    command.  _plain reads a plain command line, argparse any other.  A
+    usage error prints one line on stderr and raises SystemExit(1); -h
+    prints the help on stdout and raises SystemExit(0)."""
+    fields = _plain(argv)
+    if fields is None:
+        fields = vars(_argparser().parse_args(argv))
+    command = fields["command"]
     # looked up by name here, so that a caller that replaces a handler in
     # this module's globals (a tracer, a test) runs its replacement
     return SimpleNamespace(**fields, func=globals()[f"cmd_{command}"],
-                           cacheable=cacheable)
+                           cacheable=COMMANDS[command][1])
 
 
 def build_parser() -> SimpleNamespace:
     """An object whose parse_args is this module's, for callers written
-    against the argparse parser that parse_args replaced."""
+    against an argparse parser."""
     return SimpleNamespace(parse_args=parse_args)
 
 

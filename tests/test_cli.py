@@ -709,6 +709,16 @@ class TestCache:
         import _blake2
         assert _blake2.blake2b is hashlib.blake2b
 
+    def test_argparse_spelling_hits_a_plain_entry(self, run, tmp_path):
+        # the second command line goes to argparse, the first does not
+        first = run("--cache-dir", str(tmp_path), "count", "--poset",
+                    "EN:3x3", "--avoid", "123")
+        assert first == (0, "0\nroute: Thm3.4", "")
+        (entry,) = tmp_path.iterdir()
+        entry.write_text(json.dumps({"code": 0, "output": "served"}))
+        assert run("--cache-dir", str(tmp_path), "count", "--poset=EN:3x3",
+                   "--av", "123") == (0, "served", "")
+
     def test_uncacheable_commands_skip_cache(self, run, tmp_path):
         run("--cache-dir", str(tmp_path), "charpoly", "--t", "3")
         assert not list(tmp_path.iterdir())
@@ -716,7 +726,8 @@ class TestCache:
 
 # the modules the package and the cli load on first use
 LAZY = {"lexcount.formulas", "lexcount.qstats", "lexcount.transfer"}
-# argparse and the translation lookups it makes, which cli.parse_args avoids
+# argparse and the translation lookups it makes, which a plain command
+# line never loads
 PARSER = {"argparse", "gettext", "locale"}
 
 
@@ -775,29 +786,33 @@ class TestProcess:
                   f"code = main(['count', *{argv.split()!r}]); "
                   "print(*sys.modules, file=sys.stderr); sys.exit(code)")
         assert r.returncode == 0
-        assert set(r.stderr.split()) & LAZY == {
-            f"lexcount.{name}" for name in wanted.split()}
+        loaded = set(r.stderr.split()) - self.modules_after("pass")
+        assert loaded & LAZY == {f"lexcount.{name}" for name in wanted.split()}
+        assert not loaded & PARSER
 
     def test_python_dash_m(self):
         r = fresh("-m", "lexcount", "count", "--poset", "EN:2x2")
         assert (r.returncode, r.stdout, r.stderr) == (
             0, "2\nroute: Prop2.2\n", "")
 
-    def test_closed_pipe_is_not_a_traceback(self):
+    @pytest.mark.parametrize("argv", [
         # 72,152 lines, far more than a pipe buffer holds
+        ["list", "--poset", "NE:4x5", "--avoid", "123"],
+        # a few lines, so the pipe is closed before the first is written
+        ["--help"], ["count", "--help"]],
+        ids=["list", "help", "count-help"])
+    def test_closed_pipe_is_not_a_traceback(self, argv):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         with subprocess.Popen(
-                [sys.executable, "-m", "lexcount", "list", "--poset",
-                 "NE:4x5", "--avoid", "123"], env=env,
+                [sys.executable, "-m", "lexcount", *argv], env=env,
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 text=True) as proc:
-            first = proc.stdout.readline()
+            if argv[0] == "list":
+                assert proc.stdout.readline().count(",") == 19
             proc.stdout.close()
             err = proc.stderr.read()
             code = proc.wait(timeout=60)
-        assert first.count(",") == 19
-        assert "Traceback" not in err
-        assert code == 1
+        assert (code, err) == (1, "")
 
 
 class TestPackage:
@@ -1071,8 +1086,8 @@ class TestRobustness:
 
 
 def reference_parser():
-    """The argparse parser that cli.parse_args replaced, kept as the
-    reference it must agree with."""
+    """The independent reference that cli.parse_args must agree with: an
+    argparse parser written out by hand, not built from cli.COMMANDS."""
     import argparse
 
     def positive_int(text):
@@ -1196,6 +1211,14 @@ def load_workloads(monkeypatch):
     return workloads
 
 
+def with_equals(argv: list[str]) -> list[str]:
+    """argv with every `--flag value` pair written `--flag=value`."""
+    takes = {cli.CACHE_DIR[0]} | {o[0] for row in cli.COMMANDS.values()
+                                  for o in row[2] if o[1] != cli.FLAG}
+    args = iter(argv)
+    return [f"{arg}={next(args)}" if arg in takes else arg for arg in args]
+
+
 def pool_spellings(monkeypatch) -> list[list[str]]:
     """Five seeded spellings of every benchmark pool problem: three drawn,
     two of them respelled, the cache dir given by flag where drawn so."""
@@ -1274,6 +1297,23 @@ class TestAgainstArgparse:
         for argv in argvs:
             assert type(parsed(reference, argv)) is dict, argv
             self.agree(reference, argv)
+
+    def test_pool_spellings_never_build_argparse(self, monkeypatch):
+        argvs = pool_spellings(monkeypatch)
+
+        def refuse():
+            raise AssertionError("argparse was built")
+        monkeypatch.setattr(cli, "_argparser", refuse)
+        for argv in argvs:
+            cli.parse_args(argv)
+
+    def test_both_readers_give_the_same_fields_and_key(self, monkeypatch):
+        for argv in pool_spellings(monkeypatch):
+            joined = with_equals(argv)
+            assert cli._plain(joined) is None, joined
+            plain, other = cli.parse_args(argv), cli.parse_args(joined)
+            assert vars(plain) == vars(other), joined
+            assert cli._cache_key(plain) == cli._cache_key(other)
 
     @pytest.mark.parametrize("argv", [
         # --opt=value
