@@ -8,7 +8,6 @@ cross-route disagreement.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 from pathlib import Path
@@ -86,6 +85,7 @@ def _render(args: SimpleNamespace, plain: str, payload: dict,
     """The answer in args.format: plain text, the payload as json, or the
     rows as csv."""
     if args.format == "json":
+        import json  # here and in cmd_bijection only, so other output skips it
         return json.dumps(payload, sort_keys=True)
     if args.format == "csv":
         return "\n".join(",".join(map(str, row)) for row in rows)
@@ -153,7 +153,8 @@ def cmd_qpoly(args: SimpleNamespace) -> tuple[int, str]:
 
 
 def cmd_bijection(args: SimpleNamespace) -> tuple[int, str]:
-    from . import paths  # imported here, so other commands skip its load
+    import json  # imported here, so other commands skip their load
+    from . import paths
     poset, _, payload = _read(args)
     s, t = poset.s, poset.t
     # each kind encodes the extensions of one poset
@@ -229,44 +230,50 @@ def cmd_verify(args: SimpleNamespace) -> tuple[int, str]:
 
 
 def _cache_key(args: SimpleNamespace) -> str:
-    """BLAKE2b-256 of the parsed arguments and of the package's own .py
-    sources (in file-name order), so that flag order, defaults spelled out
-    and the way the cache dir is given do not matter, and an answer is not
-    reused once the code that produced it changes.  --avoid keeps its
-    order and repeats, since json output echoes them.  The hash comes from
-    _blake2, the class hashlib.blake2b always is: importing hashlib would
-    load OpenSSL, several milliseconds of every cacheable command."""
+    """BLAKE2b-256 of the repr of the parsed arguments' sorted (name, value)
+    pairs, each list made a tuple, and of the package's own .py sources
+    (name, NUL, bytes, in name order).  So flag order, the argv reader,
+    defaults spelled out and how the cache dir is given do not matter
+    (--avoid keeps its order and repeats, which json output echoes), and
+    an answer is not reused once its code changes.  _blake2 is the class
+    hashlib.blake2b always is, without the milliseconds of loading OpenSSL
+    that importing hashlib costs."""
     from _blake2 import blake2b
+    here = os.path.dirname(__file__)
     source = blake2b(digest_size=32)
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        source.update(path.name.encode() + b"\0" + path.read_bytes())
-    fields = {k: v for k, v in vars(args).items()
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            source.update(name.encode() + b"\0" + fh.read())
+    fields = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in vars(args).items()
               if k not in ("cache_dir", "func", "cacheable")}
     fields["source"] = source.hexdigest()
-    return blake2b(json.dumps(fields, sort_keys=True).encode(),
+    return blake2b(repr(sorted(fields.items())).encode(),
                    digest_size=32).hexdigest()
 
 
-def _read_entry(entry: Path) -> Optional[dict]:
-    """A stored result, or None if the entry is missing, unreadable or
-    malformed (then it is recomputed and overwritten)."""
+def _read_entry(entry: Path) -> Optional[tuple[int, str]]:
+    """The stored (code, output) of an entry "<code> <len(output)>\\n<output>",
+    or None if it is missing, unreadable, malformed, cut short or run on
+    (then it is recomputed and overwritten)."""
     try:
-        stored = json.loads(entry.read_text())
-    except (OSError, ValueError):  # ValueError covers bad UTF-8 and JSON
+        with open(entry, encoding="utf-8", newline="") as fh:
+            header, newline, output = fh.read().partition("\n")
+        code = int(header.partition(" ")[0])
+    except (OSError, ValueError):  # ValueError covers bad UTF-8 and codes
         return None
-    if (isinstance(stored, dict) and isinstance(stored.get("output"), str)
-            and type(stored.get("code")) is int):
-        return stored
+    if newline and header == f"{code} {len(output)}":
+        return code, output
     return None
 
 
-def _write_entry(entry: Path, stored: dict) -> None:
+def _write_entry(entry: Path, code: int, output: str) -> None:
     """Write via a temp file in the same directory and os.replace, so a
     reader never sees a partial entry."""
     entry.parent.mkdir(parents=True, exist_ok=True)
     tmp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(stored))
+        tmp.write_text(f"{code} {len(output)}\n{output}", "utf-8", newline="")
         os.replace(tmp, entry)
     finally:
         tmp.unlink(missing_ok=True)
@@ -500,11 +507,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     cache = args.cacheable and (args.cache_dir
                                 or os.environ.get("LEXCOUNT_CACHE_DIR"))
-    entry = Path(cache, f"{_cache_key(args)}.json") if cache else None
-    if entry is not None:
-        stored = _read_entry(entry)
-        if stored is not None:
-            return stored["code"] if _emit(stored["output"]) else 1
+    entry = Path(cache, f"{_cache_key(args)}.txt") if cache else None
+    stored = None if entry is None else _read_entry(entry)
+    if stored is not None:
+        return stored[0] if _emit(stored[1]) else 1
 
     try:
         code, output = args.func(args)
@@ -521,7 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     if entry is not None and code == 0:
         try:
-            _write_entry(entry, {"code": code, "output": output})
+            _write_entry(entry, code, output)
         except OSError as e:
             print(f"error: cannot write cache entry: {e}", file=sys.stderr)
             return 1

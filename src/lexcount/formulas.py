@@ -10,8 +10,9 @@ error.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb, factorial
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from .perms import Perm, rc_closure_key
 from .posets import CanonicalProblem
@@ -86,9 +87,7 @@ def inv_bounds_1243(s: int, t: int) -> tuple[int, int]:
     return ((t * t - t + 1) * pairs, t * t * pairs)
 
 
-class FormulaResult(NamedTuple):
-    value: int
-    provenance: str
+FormulaResult = namedtuple("FormulaResult", "value provenance")
 
 
 def _en_231(s: int, t: int) -> int:
@@ -122,12 +121,11 @@ def _ne_123(s: int, t: int) -> Optional[int]:
     return catalan(max(s, t)) if min(s, t) == 2 else None
 
 
-class ClosedForm(NamedTuple):
-    """Where the paper states a form, and count(s, t), None on the shapes
-    it does not cover; a form stated per column t names each part."""
-    provenance: str
-    count: Callable[[int, int], Optional[int]]
-    parts: dict[int, str] = {}
+ClosedForm = namedtuple("ClosedForm", "provenance count parts",
+                        defaults=({},))
+ClosedForm.__doc__ = """Where the paper states a form, and count(s, t), None
+on the shapes it does not cover; a form stated per column t names each part
+(parts: t -> label)."""
 
 
 # Every closed form for a nonempty pattern set, keyed by the family and

@@ -25,10 +25,10 @@ verify suite all read it.
 """
 from __future__ import annotations
 
-import re
+from collections import namedtuple
 from functools import cached_property
 from sys import maxsize
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .perms import Perm, reverse as perm_reverse
 
@@ -41,12 +41,9 @@ _DUAL = {"WS", "ES", "SW", "SE"}
 _NE_BASED = {"NE", "NW", "SW", "SE"}
 
 
-class _GridFields(NamedTuple):
-    family: str
-    s: int
-    t: int
-    extra_before: frozenset[tuple[int, int]] = frozenset()
-    tag: str = ""
+# family, s, t, extra_before: frozenset of (a, b) pairs, tag: "" or a TAGS key
+_GridFields = namedtuple("_GridFields", "family s t extra_before tag",
+                         defaults=(frozenset(), ""))
 
 
 class GridPoset(_GridFields):
@@ -56,11 +53,10 @@ class GridPoset(_GridFields):
     family to, reversed for a dual family.  ``extra_before`` holds pairs
     (a, b): a must precede b beyond the grid order.
 
-    An immutable value compared and hashed by its fields, which it keeps
-    in a ``NamedTuple`` base.  Not a dataclass: ``dataclasses`` (with the
-    ``inspect`` it imports) would add about a third to every CLI start-up
-    (the start-up diet in CHANGES.md).  The subclass keeps a
-    ``__dict__``, where ``cached_property`` stores the derived tables.
+    An immutable value compared and hashed by its fields, kept in a
+    ``collections.namedtuple`` base, which costs CLI start-up far less than
+    a dataclass or a ``typing.NamedTuple`` (see CHANGES.md).  The subclass
+    keeps a ``__dict__``, where ``cached_property`` stores derived tables.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -198,11 +194,9 @@ def zip_poset(s: int, t: int) -> GridPoset:
 TAGS = {"saw": (saw_poset, (1, 2, 4, 3)), "zip": (zip_poset, (2, 1, 4, 3))}
 
 
-class CanonicalProblem(NamedTuple):
-    family: str  # "EN" or "NE"
-    s: int
-    t: int
-    patterns: frozenset[Perm] = frozenset()
+# family "EN" or "NE", s, t, patterns: a frozenset of Perm
+CanonicalProblem = namedtuple("CanonicalProblem", "family s t patterns",
+                              defaults=(frozenset(),))
 
 
 def canonicalize(family: str, s: int, t: int,
@@ -221,18 +215,19 @@ def canonicalize(family: str, s: int, t: int,
                             s=s, t=t, patterns=ps)
 
 
-_SPEC_RE = re.compile(r"^([A-Z]{2}):(\d+)x(\d+)(?:\+(%s))?$"
-                      % "|".join(TAGS))
-
-
 def parse_poset_spec(text: str) -> GridPoset:
-    """Parse a CLI poset spec like "EN:4x3", "EN:4x3+saw", "SW:2x4"."""
-    m = _SPEC_RE.match(text.strip())
-    if not m:
+    """Parse a CLI poset spec like "EN:4x3", "EN:4x3+saw", "SW:2x4", once
+    stripped; S and T are Unicode decimal digits, as int reads them."""
+    family, _, rest = text.strip().partition(":")
+    dims, plus, tag = rest.partition("+")
+    s, _, t = dims.partition("x")
+    if not (len(family) == 2 and family.isascii()
+            and family.isalpha() and family.isupper() and s.isdecimal()
+            and t.isdecimal() and (not plus or tag in TAGS)):
         tags = "|".join(f"+{tag}" for tag in TAGS)
         raise ValueError(
             f"bad poset spec {text!r}; expected FAMILY:SxT[{tags}]")
-    family, s, t, tag = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
+    s, t = int(s), int(t)
     if tag and family != "EN":
         raise ValueError(f"{tag} augmentation is defined on EN only")
     if not tag or s == 0 or t == 0:

@@ -630,8 +630,17 @@ class TestCache:
             "--avoid", "12345", "--route", "ideal-dp")
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("damage", [b'{"code": 0, "out', b"", b"[1, 2]",
-                                        b'{"code": 0}', b"\xff\xfe"])
+    @pytest.mark.parametrize("damage", [
+        b'{"code": 0, "out', b"", b"[1, 2]", b'{"code": 0}', b"\xff\xfe",
+        # the header "<code> <length>" with no newline after it
+        b"0 16",
+        # a code that is not an int, or not in canonical form
+        b"x 16\n55\nroute: Cor4.6", b"+0 16\n55\nroute: Cor4.6",
+        b"0 16 0\n55\nroute: Cor4.6",
+        # a length that disagrees: output cut short, or bytes appended
+        b"0 16\n55\nroute: Cor4.", b"0 16\n55\nroute: Cor4.6xx",
+        # an entry in the earlier json format
+        b'{"code": 0, "output": "55\\nroute: Cor4.6"}'])
     def test_corrupt_entry_is_recomputed(self, run, tmp_path, damage):
         argv = ("--cache-dir", str(tmp_path), "count", "--poset", "EN:4x3",
                 "--avoid", "1243")
@@ -641,7 +650,7 @@ class TestCache:
         code, out, err = run(*argv)
         assert (code, out, err) == first == (0, "55\nroute: Cor4.6", "")
         assert list(tmp_path.iterdir()) == [entry]
-        assert json.loads(entry.read_text())["output"] == out
+        assert cli._read_entry(entry) == (0, out)
 
     def test_unwritable_cache_dir(self, run, tmp_path):
         blocker = tmp_path / "file"
@@ -676,7 +685,7 @@ class TestCache:
                 "--avoid", "1243", "--stat", "maj")
         first = run(*argv)
         (entry,) = cache.iterdir()
-        entry.write_text(json.dumps({"code": 0, "output": "stale"}))
+        cli._write_entry(entry, 0, "stale")
         assert run(*argv) == (0, "stale", "")  # same source: a cache hit
         # the key reads the sources beside cli.py; edit one module's copy
         src.mkdir()
@@ -687,8 +696,8 @@ class TestCache:
         monkeypatch.setattr(cli, "__file__", str(src / "cli.py"))
         assert run(*argv) == first
         (fresh,) = set(cache.iterdir()) - {entry}
-        assert json.loads(fresh.read_text())["output"] == first[1]
-        fresh.write_text(json.dumps({"code": 0, "output": "stale"}))
+        assert cli._read_entry(fresh) == (0, first[1])
+        cli._write_entry(fresh, 0, "stale")
         assert run(*argv) == (0, "stale", "")  # the new key is used again
 
     def test_key_is_blake2b_256(self, tmp_path):
@@ -699,9 +708,9 @@ class TestCache:
         for path in sorted(Path(cli.__file__).parent.glob("*.py")):
             source.update(path.name.encode() + b"\0" + path.read_bytes())
         fields = {"command": "count", "poset": "EN:4x4", "format": "plain",
-                  "force": False, "avoid": ["1324", "123"], "route": None,
+                  "force": False, "avoid": ("1324", "123"), "route": None,
                   "source": source.hexdigest()}
-        want = hashlib.blake2b(json.dumps(fields, sort_keys=True).encode(),
+        want = hashlib.blake2b(repr(sorted(fields.items())).encode(),
                                digest_size=32).hexdigest()
         assert cli._cache_key(args) == want
 
@@ -715,7 +724,7 @@ class TestCache:
                     "EN:3x3", "--avoid", "123")
         assert first == (0, "0\nroute: Thm3.4", "")
         (entry,) = tmp_path.iterdir()
-        entry.write_text(json.dumps({"code": 0, "output": "served"}))
+        cli._write_entry(entry, 0, "served")
         assert run("--cache-dir", str(tmp_path), "count", "--poset=EN:3x3",
                    "--av", "123") == (0, "served", "")
 
@@ -739,6 +748,15 @@ class TestProcess:
         assert r.returncode == 0, r.stderr
         return set(r.stdout.split())
 
+    def main_loads(self, argv: list[str]
+                   ) -> tuple[subprocess.CompletedProcess, set[str]]:
+        """main(argv) run in a program that then lists on stderr the
+        modules loaded beyond a bare interpreter's."""
+        r = fresh("-c", "import sys; from lexcount.cli import main; "
+                  f"code = main({argv!r}); print(*sys.modules, "
+                  "file=sys.stderr); sys.exit(code)")
+        return r, set(r.stderr.split()) - self.modules_after("pass")
+
     def test_import_loads_no_heavy_modules(self):
         # compared with a bare interpreter, so that whatever the host's
         # site set-up loads does not count
@@ -746,7 +764,7 @@ class TestProcess:
                  - self.modules_after("pass"))
         assert "lexcount.cli" in added
         assert not added & ({"dataclasses", "inspect", "hashlib", "_hashlib",
-                             "lexcount.verify", "lexcount.paths"}
+                             "json", "re", "lexcount.verify", "lexcount.paths"}
                             | LAZY | PARSER)
 
     def test_cache_hit_loads_only_what_it_uses(self, tmp_path):
@@ -754,13 +772,9 @@ class TestProcess:
                 "--avoid", "1324"]
         assert fresh("-m", "lexcount", *argv).returncode == 0
         (entry,) = tmp_path.iterdir()
-        entry.write_text(json.dumps({"code": 0, "output": "served"}))
-        # the hit, run by main in a program that then lists the modules
-        r = fresh("-c", "import sys; from lexcount.cli import main; "
-                  f"code = main({argv!r}); print(*sys.modules, "
-                  "file=sys.stderr); sys.exit(code)")
+        cli._write_entry(entry, 0, "served")
+        r, loaded = self.main_loads(argv)
         assert (r.returncode, r.stdout) == (0, "served\n")
-        loaded = set(r.stderr.split()) - self.modules_after("pass")
         assert "_blake2" in loaded
         assert not loaded & ({"hashlib", "_hashlib"} | LAZY | PARSER)
 
@@ -770,7 +784,7 @@ class TestProcess:
         first = fresh(*argv)
         assert (first.returncode, first.stdout) == (0, "55\nroute: Cor4.6\n")
         (entry,) = tmp_path.iterdir()
-        entry.write_text(json.dumps({"code": 0, "output": "served"}))
+        cli._write_entry(entry, 0, "served")
         second = fresh(*argv)
         assert (second.returncode, second.stdout) == (0, "served\n")
 
@@ -782,13 +796,40 @@ class TestProcess:
         ("--poset EN:4x3+zip", "formulas transfer")],
         ids=lambda v: v or "none")
     def test_count_loads_only_the_routes_it_runs(self, argv, wanted):
-        r = fresh("-c", "import sys; from lexcount.cli import main; "
-                  f"code = main(['count', *{argv.split()!r}]); "
-                  "print(*sys.modules, file=sys.stderr); sys.exit(code)")
+        r, loaded = self.main_loads(["count", *argv.split()])
         assert r.returncode == 0
-        loaded = set(r.stderr.split()) - self.modules_after("pass")
         assert loaded & LAZY == {f"lexcount.{name}" for name in wanted.split()}
         assert not loaded & PARSER
+
+    @pytest.mark.parametrize("argv", [
+        "count --poset EN:4x3 --avoid 1243",
+        "count --poset EN:4x3 --avoid 1243 --format csv",
+        "table --family NE --avoid 123 --max-s 3 --max-t 9",
+        "table --family NE --avoid 123 --max-s 3 --max-t 9 --format csv",
+        "qpoly --poset EN:3x3 --avoid 2143",
+        "qpoly --poset NE:3x2 --avoid 123 --stat maj --format csv",
+        "list --poset EN:4x3 --avoid 1243"])
+    def test_plain_and_csv_never_load_json(self, tmp_path, argv):
+        # a miss, then a hit; list is never cached, so it runs twice
+        argv = ["--cache-dir", str(tmp_path), *argv.split()]
+        want = json.loads(GOLDEN_CLI.read_text())[" ".join(argv[2:])]
+        for _ in range(2):
+            r, loaded = self.main_loads(argv)
+            assert (r.returncode, r.stdout) == (0, want["stdout"])
+            assert "json" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        "count --poset EN:4x3 --avoid 1243 --format json",
+        "qpoly --poset EN:3x3 --avoid 2143 --format json"])
+    def test_json_hit_never_loads_json(self, tmp_path, argv):
+        argv = ["--cache-dir", str(tmp_path), *argv.split()]
+        want = json.loads(GOLDEN_CLI.read_text())[" ".join(argv[2:])]
+        miss, loaded = self.main_loads(argv)
+        assert (miss.returncode, miss.stdout) == (0, want["stdout"])
+        assert "json" in loaded
+        hit, loaded = self.main_loads(argv)
+        assert hit.stdout.encode() == miss.stdout.encode()
+        assert "json" not in loaded
 
     def test_python_dash_m(self):
         r = fresh("-m", "lexcount", "count", "--poset", "EN:2x2")

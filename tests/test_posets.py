@@ -1,8 +1,13 @@
-import pytest
+import re
+import string
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from lexcount import cli
 from lexcount.formulas import FormulaResult
-from lexcount.posets import (FAMILIES, CanonicalProblem, GridPoset, build,
-                             canonicalize, parse_poset_spec, saw_poset,
+from lexcount.posets import (FAMILIES, TAGS, CanonicalProblem, GridPoset,
+                             build, canonicalize, parse_poset_spec, saw_poset,
                              zip_poset)
 from lexcount.verify import CheckResult
 
@@ -213,6 +218,54 @@ class TestCanonicalize:
             canonicalize("XY", 2, 3, [(2, 1, 3)])
 
 
+# The spec grammar as a regex, the form parse_poset_spec once took: the
+# reference its hand parser is checked against.
+SPEC_RE = re.compile(r"^([A-Z]{2}):(\d+)x(\d+)(?:\+(%s))?$" % "|".join(TAGS))
+
+
+def regex_parse(text: str) -> GridPoset:
+    m = SPEC_RE.match(text.strip())
+    if not m:
+        tags = "|".join(f"+{tag}" for tag in TAGS)
+        raise ValueError(
+            f"bad poset spec {text!r}; expected FAMILY:SxT[{tags}]")
+    family, tag = m.group(1), m.group(4)
+    s, t = int(m.group(2)), int(m.group(3))
+    if tag and family != "EN":
+        raise ValueError(f"{tag} augmentation is defined on EN only")
+    if not tag or s == 0 or t == 0:
+        return build(family, s, t)
+    return TAGS[tag][0](s, t)
+
+
+def parsed(parse, text: str) -> tuple:
+    """(poset, "") or (None, the error message)."""
+    try:
+        return parse(text), ""
+    except ValueError as e:
+        return None, str(e)
+
+
+# ASCII letters and digits, three digits outside ASCII (two of them
+# decimal), and the spec's separators, tags and whitespace
+SPEC_TOKENS = [*string.ascii_letters, *string.digits, "\u0664", "\uff15",
+               "\xb2", ":", "x", "+", "saw", "zip", " ", "\n"]
+DIGITS = st.lists(st.sampled_from([*"0123459", "\u0664", "\uff15", "\xb2"]),
+                  min_size=1, max_size=3).map("".join)
+# Draws with four digits or more in a row are dropped: they could make a
+# saw or zip poset too large to build.
+SPEC_TEXTS = st.one_of(
+    st.lists(st.sampled_from(SPEC_TOKENS), max_size=12).map("".join),
+    # close to a spec, so that many draws parse
+    st.tuples(st.sampled_from(["EN", "EN", "NE", "SW", "QQ", "ENE", "E",
+                               "E1", "en", "\xc9N"]),
+              st.sampled_from([":", ":", ":", "", "x"]), DIGITS,
+              st.sampled_from(["x", "x", "x", "", "xx", "+"]), DIGITS,
+              st.sampled_from(["", "", "+saw", "+zip", "+saw", "+", "saw",
+                               " ", "\n"])).map("".join),
+).filter(lambda text: not re.search(r"\d{4}", text))
+
+
 class TestSpecParsing:
     @pytest.mark.parametrize("text, family, s, t, tag", [
         ("EN:4x3", "EN", 4, 3, ""),
@@ -231,6 +284,37 @@ class TestSpecParsing:
     def test_bad_specs(self, text):
         with pytest.raises(ValueError):
             parse_poset_spec(text)
+
+    @given(SPEC_TEXTS)
+    @settings(max_examples=500, deadline=None)
+    @example("EN:\u0664x3")  # Arabic-Indic four: a decimal digit
+    @example("EN:\uff15x3+saw")  # fullwidth five: a decimal digit
+    @example("EN:\xb2x3")  # superscript two: a digit, but not decimal
+    @example("EN:3x\xb2")
+    @example(" EN:4x3+zip\n")
+    @example("EN:4x3\n+saw")
+    @example("EN:4x3+")
+    @example("EN:4x3+sawzip")
+    @example("EN:4x3x3")
+    @example("EN::4x3")
+    @example("EN:x3")
+    @example("EN:4x")
+    @example("NE:2x2+saw")
+    @example("EN:0x3+saw")
+    @example("en:4x3")
+    @example("\xc9N:4x3")  # a capital, but not an ASCII one
+    @example("ENE:4x3")
+    @example("E1:4x3")
+    def test_parse_matches_the_regex(self, text):
+        assert parsed(parse_poset_spec, text) == parsed(regex_parse, text)
+
+    @given(SPEC_TEXTS)
+    @settings(max_examples=100, deadline=None)
+    def test_both_argv_readers_share_the_key(self, text):
+        plain, other = ["count", "--poset", text], ["count", f"--poset={text}"]
+        assert cli._plain(plain) is not None and cli._plain(other) is None
+        assert (cli._cache_key(cli.parse_args(plain))
+                == cli._cache_key(cli.parse_args(other)))
 
 
 class TestRecords:
