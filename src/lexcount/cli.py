@@ -5,14 +5,11 @@ Subcommands: count, list, table, qpoly, bijection, charpoly, verify.
 Exit codes: 0 success, 1 usage error, 2 verification failure or
 cross-route disagreement.
 """
-from __future__ import annotations
-
 import gc
 import os
 import sys
-from pathlib import Path
+from collections.abc import Callable, Sequence
 from types import SimpleNamespace
-from typing import Callable, NoReturn, Optional, Sequence
 
 from .engine import count_avoiders, format_avoiders, listing, stat_gf
 from .perms import descents, format_perm, parse_perm
@@ -28,7 +25,7 @@ class Disagreement(Exception):
 
 
 def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
-           only: Optional[str]) -> tuple[Optional[str], Optional[int]]:
+           only: str | None) -> tuple[str | None, int | None]:
     """Run every affordable counting route (or only the one named), check
     that they agree, and return the first of formula, transfer, ideal-dp
     with its value; (None, None) if no route is affordable.  The formula
@@ -65,7 +62,7 @@ def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
 
 
 def _read(args: SimpleNamespace, refuse: str = ""
-          ) -> tuple[Optional[GridPoset], list[tuple[int, ...]], dict]:
+          ) -> tuple[GridPoset | None, list[tuple[int, ...]], dict]:
     """The parsed --poset and --avoid of a subcommand that takes them, and
     their json echo.  With `refuse`, a poset of more than DP_GUARD
     elements is refused without --force."""
@@ -113,7 +110,7 @@ def cmd_list(args: SimpleNamespace) -> tuple[int, str]:
 
 
 def _table_cell(family: str, s: int, t: int,
-                patterns: list[tuple[int, ...]], force: bool) -> Optional[int]:
+                patterns: list[tuple[int, ...]], force: bool) -> int | None:
     try:
         return _solve(build(family, s, t), patterns, force, None)[1]
     except Disagreement as e:
@@ -252,7 +249,7 @@ def _cache_key(args: SimpleNamespace) -> str:
                    digest_size=32).hexdigest()
 
 
-def _read_entry(entry: Path) -> Optional[tuple[int, str]]:
+def _read_entry(entry: str) -> tuple[int, str] | None:
     """The stored (code, output) of an entry "<code> <len(output)>\\n<output>",
     or None if it is missing, unreadable, malformed, cut short or run on
     (then it is recomputed and overwritten)."""
@@ -267,16 +264,20 @@ def _read_entry(entry: Path) -> Optional[tuple[int, str]]:
     return None
 
 
-def _write_entry(entry: Path, code: int, output: str) -> None:
+def _write_entry(entry: str, code: int, output: str) -> None:
     """Write via a temp file in the same directory and os.replace, so a
-    reader never sees a partial entry."""
-    entry.parent.mkdir(parents=True, exist_ok=True)
-    tmp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
+    reader never sees a partial entry; the temp file is removed if that
+    fails."""
+    folder, name = os.path.split(entry)
+    os.makedirs(folder, exist_ok=True)
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(f"{code} {len(output)}\n{output}", "utf-8", newline="")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"{code} {len(output)}\n{output}")
         os.replace(tmp, entry)
     finally:
-        tmp.unlink(missing_ok=True)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _positive_int(text: str) -> int:
@@ -345,7 +346,7 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _plain(argv: Sequence[str]) -> Optional[dict]:
+def _plain(argv: Sequence[str]) -> dict | None:
     """The fields of a plain command line, or None for any other: any
     number of leading `--cache-dir DIR` pairs, a command, then exact flags
     of the command, where a value does not start with -, a choice is one
@@ -401,7 +402,7 @@ def _argparser():
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        def error(self, message: str) -> NoReturn:
+        def error(self, message: str):
             """One line on stderr, with the line breaks of a stray
             argument escaped, and exit 1; 2 is the disagreement code."""
             message = "\\n".join(message.splitlines())
@@ -487,7 +488,7 @@ def _emit(text: str) -> bool:
     return True
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     With argv None, main runs the process: the `lexcount` script and
@@ -507,7 +508,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     cache = args.cacheable and (args.cache_dir
                                 or os.environ.get("LEXCOUNT_CACHE_DIR"))
-    entry = Path(cache, f"{_cache_key(args)}.txt") if cache else None
+    entry = os.path.join(cache, f"{_cache_key(args)}.txt") if cache else None
     stored = None if entry is None else _read_entry(entry)
     if stored is not None:
         return stored[0] if _emit(stored[1]) else 1

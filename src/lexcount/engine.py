@@ -18,10 +18,8 @@ the prefix contains a forbidden pattern.  Since a contained pattern can
 never be destroyed by appending, it tests only occurrences that end at
 the newly placed element.
 """
-from __future__ import annotations
-
+from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
-from typing import Iterable, Iterator, Sequence
 
 from .perms import Perm, contains, ending_matcher, parse_perm, perm, perm_sep
 from .polys import QPoly

@@ -8,11 +8,8 @@ coverage for free, and gives the count with a provenance identifier
 naming the formula.  Absence of a formula is an empty result, never an
 error.
 """
-from __future__ import annotations
-
 from collections import namedtuple
 from math import comb, factorial
-from typing import Optional
 
 from .perms import Perm, rc_closure_key
 from .posets import CanonicalProblem
@@ -106,7 +103,7 @@ def _en_123(s: int, t: int) -> int:
     return catalan(s) if t == 2 else 0
 
 
-def _en_2143(s: int, t: int) -> Optional[int]:
+def _en_2143(s: int, t: int) -> int | None:
     return count_2143_closed(s, t) if t <= 4 else None
 
 
@@ -114,7 +111,7 @@ def _ne_213_132(s: int, t: int) -> int:
     return 1 if t == 1 else 2 ** (s - 1)
 
 
-def _ne_123(s: int, t: int) -> Optional[int]:
+def _ne_123(s: int, t: int) -> int | None:
     """Only the boundary shapes are known; s, t >= 3 is open."""
     if min(s, t) == 1:
         return 1
@@ -152,7 +149,7 @@ _ROW_KEY = {(family, rc_closure_key(patterns)): (family, patterns)
             for family, patterns in CLOSED_FORMS}
 
 
-def count_formula(problem: CanonicalProblem) -> Optional[FormulaResult]:
+def count_formula(problem: CanonicalProblem) -> FormulaResult | None:
     """Return (value, provenance) when a closed form covers the problem."""
     s, t = problem.s, problem.t
     key = rc_closure_key(problem.patterns)

@@ -11,10 +11,8 @@ label, the distance of the entry 1 from the end, and the succession rule
 so each label-j node has j+1 children.  Level s of the tree is counted
 by the Fuss-Catalan number binomial(st, s)/((t-1)s + 1).
 """
-from __future__ import annotations
-
 from collections import Counter
-from typing import Sequence
+from collections.abc import Sequence
 
 from .engine import is_extension
 from .perms import Perm, perm

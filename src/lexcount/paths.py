@@ -13,10 +13,8 @@ Word conventions:
 All bijections validate their inputs and raise ValueError on anything
 outside their domain.
 """
-from __future__ import annotations
-
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
 
 from .engine import is_extension
 from .perms import Perm, perm
@@ -234,7 +232,7 @@ def format_zipper(w: Sequence[int]) -> str:
 def parse_zipper(text: str) -> ZipperWord:
     out = []
     for tok in text.split():
-        if not tok.startswith("N") or not tok[1:].isdigit():
+        if not tok.startswith("N") or not tok[1:].isdecimal():
             raise ValueError(f"bad zipper letter {tok!r}")
         out.append(int(tok[1:]))
     return tuple(out)

@@ -9,10 +9,8 @@ Serialization convention: a permutation of length <= 9 prints as a bare
 digit string ("1243"), longer ones as comma-separated integers
 ("10,7,11,4").  `parse_perm` accepts both forms.
 """
-from __future__ import annotations
-
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
 

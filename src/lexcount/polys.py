@@ -8,9 +8,7 @@ package needs nothing beyond addition and multiplication, shifts,
 coefficient reversal, and two pretty-printers (variable q for statistic
 generating functions, variable x for characteristic polynomials).
 """
-from __future__ import annotations
-
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 QPoly = tuple[int, ...]
 

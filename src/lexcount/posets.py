@@ -23,12 +23,10 @@ and the pattern whose avoiders on the EN grid are the tagged poset's
 linear extensions.  Spec parsing, the CLI's counting routes and the
 verify suite all read it.
 """
-from __future__ import annotations
-
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from sys import maxsize
-from typing import Iterable, Sequence
 
 from .perms import Perm, reverse as perm_reverse
 
@@ -136,7 +134,7 @@ class GridPoset(_GridFields):
         return bool(self._closure[b - 1] >> (a - 1) & 1)
 
     def problem(self, patterns: Iterable[Sequence[int]] = ()
-                ) -> CanonicalProblem:
+                ) -> "CanonicalProblem":
         """The canonical problem that counts this poset's extensions
         avoiding patterns: its plain grid's, with its tag's pattern added."""
         tagged = [TAGS[self.tag][1]] if self.tag else []

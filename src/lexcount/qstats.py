@@ -8,11 +8,9 @@ letter, in which every prefix has at least as many 0s as 1s.  C_n(q)
 sums q^inv over Catalan words, c_n(q) sums q^maj, and the tilde variant
 reverses C_n's coefficients against degree n(n-1)/2.
 """
-from __future__ import annotations
-
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterator
 
 from .engine import stat_gf  # noqa: F401 -- computed by the avoider DP
 from .perms import inv, maj
@@ -158,16 +156,14 @@ def conj_1243_rhs(t: int) -> QPoly:
 
 
 # raw coefficient sequences referenced to external tables, exported for
-# side-by-side comparison rather than auto-verified
-F_COEFF_EXPORTS: tuple[tuple[str, str, Callable[[int, QPoly], int]], ...] = (
-    ("q^3 coefficient", "A098156", lambda s, f: f[3] if len(f) > 3 else 0),
-    ("q^(2s-2) coefficient", "A134465",
-     lambda s, f: f[2 * s - 2] if len(f) > 2 * s - 2 else 0),
-    ("q^(s+2) coefficient", "A127531",
-     lambda s, f: f[s + 2] if len(f) > s + 2 else 0),
-    ("q^s coefficient", "A072547", lambda s, f: f[s] if len(f) > s else 0),
-    ("q^(s-1) coefficient", "A116914",
-     lambda s, f: f[s - 1] if len(f) > s - 1 else 0),
+# side-by-side comparison rather than auto-verified: (name, reference,
+# the power of q as a function of s)
+F_COEFF_EXPORTS: tuple[tuple[str, str, Callable[[int], int]], ...] = (
+    ("q^3 coefficient", "A098156", lambda s: 3),
+    ("q^(2s-2) coefficient", "A134465", lambda s: 2 * s - 2),
+    ("q^(s+2) coefficient", "A127531", lambda s: s + 2),
+    ("q^s coefficient", "A072547", lambda s: s),
+    ("q^(s-1) coefficient", "A116914", lambda s: s - 1),
 )
 
 
@@ -175,8 +171,11 @@ def f_coeff_export(max_s: int) -> list[dict]:
     """Coefficient slices of F_poly for comparison against the external
     sequence tables they are conjectured to match."""
     out = []
-    for name, ref, pick in F_COEFF_EXPORTS:
-        seq = [pick(s, F_poly(s)) for s in range(2, max_s + 1)]
+    for name, ref, power in F_COEFF_EXPORTS:
+        seq = []
+        for s in range(2, max_s + 1):
+            f, k = F_poly(s), power(s)
+            seq.append(f[k] if k < len(f) else 0)
         out.append({"coefficient": name, "reference": ref,
                     "first_s": 2, "values": seq})
     return out

@@ -11,10 +11,8 @@ vector a_{t,*}(s) counts |EN_{s,t}(2143)| in O(s t^2) integer operations,
 and the characteristic polynomial det(I - x B_t) yields a linear
 recurrence satisfied by the counts as s grows.
 """
-from __future__ import annotations
-
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .polys import QPoly, poly
 

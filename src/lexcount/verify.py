@@ -7,10 +7,9 @@ Theorem checks report pass/fail; conjecture checks report consistent/
 counterexample and never claim more than the sizes actually tested.
 The CLI's `verify` subcommand and the test suite both run these.
 """
-from __future__ import annotations
-
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from math import comb
-from typing import Callable, Iterable, NamedTuple
 
 from . import formulas, gentree, paths, qstats, transfer
 from .engine import avoiders, count_avoiders, count_extensions
@@ -19,10 +18,10 @@ from .polys import QPoly, degree, format_q, is_unimodal, poly
 from .posets import TAGS, build, canonicalize
 
 
-class CheckResult(NamedTuple):
-    name: str
-    status: str  # "pass" / "fail" / "consistent" / "counterexample"
-    detail: str = ""
+# status is "pass", "fail", "consistent" or "counterexample"
+class CheckResult(namedtuple("CheckResult", "name status detail",
+                             defaults=("",))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -662,6 +662,16 @@ class TestCache:
         assert err.startswith("error: cannot write cache entry")
         assert len(err.splitlines()) == 1
 
+    def test_failed_write_leaves_no_temp_file(self, run, tmp_path):
+        # a directory where the entry goes makes os.replace fail
+        argv = ["count", "--poset", "EN:2x2"]
+        (tmp_path / f"{cli._cache_key(cli.parse_args(argv))}.txt").mkdir()
+        code, out, err = run("--cache-dir", str(tmp_path), *argv)
+        assert (code, out) == (1, "2\nroute: Prop2.2")
+        assert err.startswith("error: cannot write cache entry")
+        assert len(err.splitlines()) == 1
+        assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+
     def test_key_comes_from_parsed_arguments(self, run, tmp_path,
                                              monkeypatch):
         first = run("--cache-dir", str(tmp_path), "count",
@@ -766,6 +776,25 @@ class TestProcess:
         assert not added & ({"dataclasses", "inspect", "hashlib", "_hashlib",
                              "json", "re", "lexcount.verify", "lexcount.paths"}
                             | LAZY | PARSER)
+
+    def test_no_typing_pathlib_or_re_without_site(self, tmp_path):
+        # -S: no site .pth preloads anything, so every module counted here
+        # is lexcount's own doing; tempfile would load re, so the test
+        # makes the cache dir
+        argv = ["--cache-dir", str(tmp_path), "count", "--poset", "EN:4x3",
+                "--avoid", "1243"]
+        r = fresh("-S", "-c", "import sys; import lexcount.cli as cli; "
+                  "from lexcount import (verify, paths, qstats, transfer, "
+                  "formulas, gentree); "
+                  f"codes = [cli.main({argv!r})]; "
+                  # the second run must be a hit: a miss would call None
+                  "cli.cmd_count = None; "
+                  f"codes.append(cli.main({argv!r})); "
+                  "print(*sys.modules, file=sys.stderr); sys.exit(max(codes))")
+        assert (r.returncode, r.stdout) == (0, "55\nroute: Cor4.6\n" * 2)
+        assert len(list(tmp_path.iterdir())) == 1
+        assert not set(r.stderr.split()) & {"typing", "__future__", "pathlib",
+                                            "re"}
 
     def test_cache_hit_loads_only_what_it_uses(self, tmp_path):
         argv = ["--cache-dir", str(tmp_path), "count", "--poset", "EN:4x4",

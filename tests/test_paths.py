@@ -139,6 +139,8 @@ class TestZippers:
         assert parse_zipper("N1 N2 N10") == (1, 2, 10)
         with pytest.raises(ValueError):
             parse_zipper("N1 X2")
+        with pytest.raises(ValueError, match="bad zipper letter 'N²'"):
+            parse_zipper("N1 N²")
 
     @given(st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=9, deadline=None)
