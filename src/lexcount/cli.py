@@ -14,8 +14,7 @@ from types import SimpleNamespace
 from .engine import count_avoiders, format_avoiders, listing, stat_gf
 from .perms import descents, format_perm, parse_perm
 from .polys import QPoly, format_q, format_x, to_json_dict
-from .posets import (FAMILIES, GridPoset, build, parse_poset_spec,
-                     saw_poset, zip_poset)
+from .posets import FAMILIES, GridPoset, build, parse_poset_spec
 
 DP_GUARD = 25
 
@@ -154,51 +153,43 @@ def cmd_bijection(args: SimpleNamespace) -> tuple[int, str]:
     from . import paths
     poset, _, payload = _read(args)
     s, t = poset.s, poset.t
-    # each kind encodes the extensions of one poset
-    if args.kind == "tableau":
-        want = build("EN", s, t)
-    else:
-        want = (saw_poset if args.kind == "fcpath" else zip_poset)(s, t)
+    bijection = paths.BIJECTIONS[args.kind]
+    want = bijection.poset(s, t)
     if poset != want:
         raise ValueError(f"--kind {args.kind} needs the poset "
                          f"{want.spec_string()}, not {poset.spec_string()}")
     if (args.perm is None) == (args.word is None):
         raise ValueError("exactly one of --perm and --word is required")
     payload["kind"] = args.kind
-    if args.perm is not None:
+    if args.word is not None:
+        w = args.word
+        if args.kind == "zipper":
+            w = paths.parse_zipper(w)
+        elif args.kind == "tableau":
+            try:
+                w = json.loads(w)
+            except (ValueError, RecursionError):  # not JSON, or too deep
+                w = None
+            if not (isinstance(w, list) and len(w) == s
+                    and all(isinstance(r, list) and len(r) == t
+                            and all(type(v) is int for v in r) for r in w)):
+                raise ValueError(f"--word must be a JSON list of {s} lists "
+                                 f"of {t} integers for {poset.spec_string()}")
+        plain = payload["extension"] = format_perm(bijection.decode(w, s, t))
+    else:
         pi = parse_perm(args.perm)
+        w = bijection.encode(pi, s, t)
         if args.kind == "tableau":
-            T = [list(r) for r in paths.ext_to_tableau(pi, s, t)]
-            payload["tableau"] = T
+            payload["tableau"] = T = [list(r) for r in w]
             plain = json.dumps(T)
         elif args.kind == "fcpath":
-            w = paths.ext_to_fcpath(pi, s, t)
             ext_d, path_d = sorted(descents(pi)), sorted(descents(w))
             payload.update(path=w, extension_descents=ext_d,
                            path_descents=path_d)
             plain = (f"{w}\nextension descents: {ext_d}\n"
                      f"path descents: {path_d}")
         else:
-            plain = paths.format_zipper(paths.ext_to_zipper(pi, s, t))
-            payload["word"] = plain
-    else:
-        if args.kind == "tableau":
-            try:
-                rows = json.loads(args.word)
-            except (ValueError, RecursionError):  # not JSON, or too deep
-                rows = None
-            if not (isinstance(rows, list) and len(rows) == s
-                    and all(isinstance(r, list) and len(r) == t
-                            and all(type(v) is int for v in r) for r in rows)):
-                raise ValueError(f"--word must be a JSON list of {s} lists "
-                                 f"of {t} integers for {poset.spec_string()}")
-            pi = paths.tableau_to_ext(rows)
-        elif args.kind == "fcpath":
-            pi = paths.fcpath_to_ext(args.word, s, t)
-        else:
-            pi = paths.zipper_to_ext(paths.parse_zipper(args.word), s, t)
-        plain = format_perm(pi)
-        payload["extension"] = plain
+            plain = payload["word"] = paths.format_zipper(w)
     return 0, _render(args, plain, payload)
 
 

@@ -11,8 +11,10 @@ Word conventions:
   tokens "N1", "N2", "E".
 
 All bijections validate their inputs and raise ValueError on anything
-outside their domain.
+outside their domain.  `BIJECTIONS` is the one table of the three, each
+field a function of (..., s, t); `bijection` and verify read it.
 """
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, combinations_with_replacement
 
@@ -236,6 +238,20 @@ def parse_zipper(text: str) -> ZipperWord:
             raise ValueError(f"bad zipper letter {tok!r}")
         out.append(int(tok[1:]))
     return tuple(out)
+
+
+# kind -> its Bijection; objects(s, t) gives every word of the shape
+Bijection = namedtuple("Bijection", "poset encode decode valid objects")
+BIJECTIONS = {
+    "tableau": Bijection(lambda s, t: build("EN", s, t), ext_to_tableau,
+                         lambda T, s, t: tableau_to_ext(T),
+                         lambda T, s, t: is_standard_tableau(T),
+                         standard_tableaux),
+    "fcpath": Bijection(saw_poset, ext_to_fcpath, fcpath_to_ext,
+                        lambda w, s, t: is_fuss_catalan(w, t), fc_paths),
+    "zipper": Bijection(zip_poset, ext_to_zipper, zipper_to_ext, is_zipper,
+                        zippers),
+}
 
 
 # ---------------------------------------------------------------------------

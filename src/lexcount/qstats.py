@@ -2,12 +2,15 @@
 q-analogues: statistic generating functions over pattern-avoiding
 extensions, the q-Catalan families, and the closed forms they match.
 `stat_gf` is the engine's avoider DP carrying q-weights, re-exported here.
+`TWO_LINE` is the one table of Thm 6.1's two-line cases, which verify
+reads; `thm61_rhs` is kept for perfbench/make_pool.py and the tests.
 
 Conventions.  A Catalan word is a 0/1 word of length 2n, n of each
 letter, in which every prefix has at least as many 0s as 1s.  C_n(q)
 sums q^inv over Catalan words, c_n(q) sums q^maj, and the tilde variant
 reverses C_n's coefficients against degree n(n-1)/2.
 """
+from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 from math import comb
@@ -83,42 +86,44 @@ def maj_q_catalan(n: int) -> QPoly:
     return _word_sum(n, maj)
 
 
+# case -> the family and shape(n) of a grid with a line of n, the pattern,
+# and the avoiders' forms by inv (Thm 6.1) and by maj (conjectured)
+TwoLine = namedtuple("TwoLine", "family shape pattern inv maj")
+TWO_LINE = {
+    "i": TwoLine("EN", lambda n: (2, n), (3, 2, 1),
+                 lambda n: shift(q_catalan_tilde(n), comb(n + 1, 2)),
+                 lambda n: shift(maj_q_catalan(n), n)),
+    "ii": TwoLine("EN", lambda n: (n, 2), (1, 2, 3),
+                  lambda n: shift(q_catalan(n), 3 * comb(n, 2)),
+                  lambda n: shift(maj_q_catalan(n), 2 * comb(n, 2))),
+    "iii": TwoLine("NE", lambda n: (n, 2), (1, 2, 3),
+                   lambda n: shift(q_catalan(n), n * (3 * n - 1) // 2),
+                   lambda n: shift(maj_q_catalan(n), n * n)),
+    "iv": TwoLine("NE", lambda n: (2, n), (1, 2, 3),
+                  lambda n: shift(q_catalan_tilde(n), n * (3 * n - 1) // 2),
+                  lambda n: shift(maj_q_catalan(n), n * n)),
+}
+
+
 def thm61_rhs(case: str, size: int) -> QPoly:
-    """The four inversion closed forms on two-row / two-column grids:
-    (i) EN two rows of t, no 321; (ii) EN s rows of 2, no 123;
-    (iii) NE s rows of 2, no 123; (iv) NE two rows of t, no 123."""
-    n = size
-    if case == "i":
-        return shift(q_catalan_tilde(n), comb(n + 1, 2))
-    if case == "ii":
-        return shift(q_catalan(n), 3 * comb(n, 2))
-    if case == "iii":
-        return shift(q_catalan(n), n * (3 * n - 1) // 2)
-    if case == "iv":
-        return shift(q_catalan_tilde(n), n * (3 * n - 1) // 2)
-    raise ValueError(f"case must be one of i..iv, got {case!r}")
+    """The inversion form of TWO_LINE's case (i)-(iv) on a line of size."""
+    if case not in TWO_LINE:
+        raise ValueError(f"case must be one of i..iv, got {case!r}")
+    if size < 1:
+        raise ValueError("need size >= 1")
+    return TWO_LINE[case].inv(size)
 
 
 def thm62_rhs(s: int, t: int) -> QPoly:
     """Inversion generating function of the 213-avoiding NE extensions:
     a single power of q times [t]_q^(s-1)."""
+    if s < 1 or t < 1:
+        raise ValueError("need s >= 1 and t >= 1")
     e = s * comb(t, 2) + t * comb(s, 2) + (s - 1) * (t - 1) * (s * t - 2) // 2
     out = monomial(e)
     for _ in range(s - 1):
         out = mul(out, q_int(t))
     return out
-
-
-def maj_conjecture_rhs(case: str, size: int) -> QPoly:
-    """Major-index analogues of the four two-line identities."""
-    n = size
-    if case == "i":
-        return shift(maj_q_catalan(n), n)
-    if case == "ii":
-        return shift(maj_q_catalan(n), 2 * comb(n, 2))
-    if case in ("iii", "iv"):
-        return shift(maj_q_catalan(n), n * n)
-    raise ValueError(f"case must be one of i..iv, got {case!r}")
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +139,8 @@ def F_poly(s: int) -> QPoly:
 def conj_2143_t2_rhs(s: int) -> QPoly:
     """Conjectured inversion polynomial on two-column 2143-avoiders:
     q^((2s-1)(s-1)) (1+q)^(s-1)."""
+    if s < 1:
+        raise ValueError("need s >= 1")
     out = monomial((2 * s - 1) * (s - 1))
     for _ in range(s - 1):
         out = mul(out, (1, 1))
@@ -143,6 +150,8 @@ def conj_2143_t2_rhs(s: int) -> QPoly:
 def conj_2143_t3_rhs(s: int) -> QPoly:
     """Conjectured inversion polynomial on three-column 2143-avoiders:
     q^(9*binom(s,2)) F_s(1/q), normalized through coefficient reversal."""
+    if s < 1:
+        raise ValueError("need s >= 1")
     f = F_poly(s)
     d = degree(f)
     return shift(reverse_on_degree(f, d), 9 * comb(s, 2) - d)
@@ -151,6 +160,8 @@ def conj_2143_t3_rhs(s: int) -> QPoly:
 def conj_1243_rhs(t: int) -> QPoly:
     """Conjectured inversion polynomial on EN three-row grids with 2t-1
     columns, no 1243: q^(3(t^2-t+1)) [2t-1]_q [4t-1]_q."""
+    if t < 1:
+        raise ValueError("need t >= 1")
     return shift(mul(q_int(2 * t - 1), q_int(4 * t - 1)),
                  3 * (t * t - t + 1))
 

@@ -148,7 +148,8 @@ def check_count_2143(max_oracle: int = 16) -> CheckResult:
                      (tm, zc), (oracle, oracle)))
     rows += [(f"closed form ({s},{t})", transfer.count_2143(s, t),
               formulas.count_2143_closed(s, t))
-             for t in range(1, 5) for s in range(1, 13)]
+             for t in formulas.CLOSED_FORMS[("EN", ((2, 1, 4, 3),))].parts
+             for s in range(1, 13)]
     return _compare("2143 counts: oracle, matrix, zippers, closed forms", rows)
 
 
@@ -169,51 +170,43 @@ def check_char_poly() -> CheckResult:
 
 
 def check_bijections(max_n: int = 12) -> CheckResult:
-    """Each encoding sends the extensions it encodes to valid objects that
-    decode back, and its image is every object of the shape."""
-    kinds = (("tableau", (), paths.ext_to_tableau,
-              lambda T, s, t: paths.is_standard_tableau(T),
-              lambda T, s, t: paths.tableau_to_ext(T),
-              paths.standard_tableaux),
-             ("fcpath", [TAGS["saw"][1]], paths.ext_to_fcpath,
-              lambda w, s, t: paths.is_fuss_catalan(w, t),
-              paths.fcpath_to_ext, paths.fc_paths),
-             ("zipper", [TAGS["zip"][1]], paths.ext_to_zipper, paths.is_zipper,
-              paths.zipper_to_ext, paths.zippers))
+    """Each of paths.BIJECTIONS sends its poset's extensions to valid words
+    that decode back, and its image is every word of the shape."""
     failures, n_inst = [], 0
     for s, t in _shapes(max_n):
-        for kind, pats, encode, valid, decode, objects in kinds:
-            exts = list(avoiders(build("EN", s, t), pats))
+        for kind, bij in paths.BIJECTIONS.items():
+            exts = list(avoiders(bij.poset(s, t), ()))
             for pi in exts:
-                w = encode(pi, s, t)
+                w = bij.encode(pi, s, t)
                 n_inst += 1
-                if not valid(w, s, t) or decode(w, s, t) != pi:
+                if not bij.valid(w, s, t) or bij.decode(w, s, t) != pi:
                     failures.append(f"{kind} {s}x{t} {pi}")
                     break
-            if {encode(pi, s, t) for pi in exts} != set(objects(s, t)):
+            if {bij.encode(pi, s, t) for pi in exts} != set(bij.objects(s, t)):
                 failures.append(f"{kind} image {s}x{t}")
     return _check("bijection roundtrips and images", failures, n_inst)
 
 
-def _two_line(stat: str, rhs, max_size: int):
-    """Rows comparing the `stat` polynomial with rhs(case, n) on the
-    two-line cases (i)-(iv) of Thm 6.1, for n up to max_size."""
-    setups = {
-        "i": lambda n: (build("EN", 2, n), (3, 2, 1)),
-        "ii": lambda n: (build("EN", n, 2), (1, 2, 3)),
-        "iii": lambda n: (build("NE", n, 2), (1, 2, 3)),
-        "iv": lambda n: (build("NE", 2, n), (1, 2, 3)),
-    }
-    for case, setup in setups.items():
-        for n in range(1, max_size + 1):
-            poset, sigma = setup(n)
-            got = qstats.stat_gf(poset, [sigma], stat)
-            yield f"({case}) n={n}: {format_q(got)}", got, rhs(case, n)
+def _rows(label: str, family: str, shape: Callable[[int], tuple[int, int]],
+          sigma: Perm, stat: str, rhs: Callable[[int], QPoly], max_k: int):
+    """Rows comparing the `stat` polynomial of the sigma-avoiding
+    extensions of family:shape(k) with rhs(k), for 1 <= k <= max_k."""
+    for k in range(1, max_k + 1):
+        got = qstats.stat_gf(build(family, *shape(k)), [sigma], stat)
+        yield f"{label}={k}: {format_q(got)}", got, rhs(k)
+
+
+def _two_line(stat: str, max_size: int):
+    """The rows of each of Thm 6.1's cases (i)-(iv) in qstats.TWO_LINE,
+    against its form named after the statistic."""
+    for case, line in qstats.TWO_LINE.items():
+        yield from _rows(f"({case}) n", line.family, line.shape,
+                         line.pattern, stat, getattr(line, stat), max_size)
 
 
 def check_thm61(max_size: int = 7) -> CheckResult:
     return _compare("two-line inversion polynomials",
-                    _two_line("inv", qstats.thm61_rhs, max_size))
+                    _two_line("inv", max_size))
 
 
 def check_thm62(max_n: int = 14) -> CheckResult:
@@ -264,34 +257,22 @@ def theorem_checks(fast: bool = False) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # conjecture suite
 
-def _column(name: str, label: str, shape: Callable[[int], tuple[int, int]],
-            sigma: Perm, rhs: Callable[[int], QPoly],
-            max_k: int) -> CheckResult:
-    """The inversion polynomial of the sigma-avoiding extensions of
-    EN:shape(k) against rhs(k), for 1 <= k <= max_k."""
-    rows = []
-    for k in range(1, max_k + 1):
-        got = qstats.stat_gf(build("EN", *shape(k)), [sigma], "inv")
-        rows.append((f"{label}={k}: {format_q(got)}", got, rhs(k)))
-    return _compare(name, rows, conjecture=True)
-
-
 def conj_2143_t2(max_s: int = 6) -> CheckResult:
-    return _column("two-column 2143 inversion polynomial", "s",
-                   lambda s: (s, 2), (2, 1, 4, 3), qstats.conj_2143_t2_rhs,
-                   max_s)
+    return _compare("two-column 2143 inversion polynomial", _rows(
+        "s", "EN", lambda s: (s, 2), (2, 1, 4, 3), "inv",
+        qstats.conj_2143_t2_rhs, max_s), conjecture=True)
 
 
 def conj_2143_t3(max_s: int = 5) -> CheckResult:
-    return _column("three-column 2143 inversion polynomial", "s",
-                   lambda s: (s, 3), (2, 1, 4, 3), qstats.conj_2143_t3_rhs,
-                   max_s)
+    return _compare("three-column 2143 inversion polynomial", _rows(
+        "s", "EN", lambda s: (s, 3), (2, 1, 4, 3), "inv",
+        qstats.conj_2143_t3_rhs, max_s), conjecture=True)
 
 
 def conj_1243_rows3(max_t: int = 3) -> CheckResult:
-    return _column("three-row odd-column 1243 inversion polynomial", "t",
-                   lambda t: (3, 2 * t - 1), (1, 2, 4, 3),
-                   qstats.conj_1243_rhs, max_t)
+    return _compare("three-row odd-column 1243 inversion polynomial", _rows(
+        "t", "EN", lambda t: (3, 2 * t - 1), (1, 2, 4, 3), "inv",
+        qstats.conj_1243_rhs, max_t), conjecture=True)
 
 
 def conj_F_coefficients(max_s: int = 10) -> list[CheckResult]:
@@ -318,8 +299,7 @@ def conj_F_coefficients(max_s: int = 10) -> list[CheckResult]:
 
 def conj_maj_identities(max_size: int = 6) -> CheckResult:
     return _compare("two-line major-index polynomials",
-                    _two_line("maj", qstats.maj_conjecture_rhs, max_size),
-                    conjecture=True)
+                    _two_line("maj", max_size), conjecture=True)
 
 
 def conj_maj_ratio_1243(max_n: int = 12) -> CheckResult:

@@ -88,7 +88,7 @@ class TestCount:
         assert json.loads(out) == {"value": 1, "route": route,
                                    "poset": spec, "patterns": []}
 
-    def test_augmented_poset_past_oracle_guard(self, run):
+    def test_augmented_poset_past_the_guard(self, run):
         # 36 elements: beyond DP_GUARD, answered by the DP and by the
         # formula of EN:6x6 avoiding 1243
         code, out, _ = run("count", "--poset", "EN:6x6+saw")
@@ -287,7 +287,7 @@ class TestTable:
         assert lines[2].split() == ["2", "1", "2", "5"]
 
     def test_unavailable_cells_dashed(self, run):
-        # cells too big for the oracle with no formula fall back to "-"
+        # cells past DP_GUARD with no formula fall back to "-"
         code, out, _ = run("table", "--family", "NE", "--avoid", "123",
                            "--max-s", "3", "--max-t", "9", "--format", "csv")
         assert code == 0

@@ -256,7 +256,9 @@ class TestCheckBijections:
             exts = sorted(linear_extensions(zip_poset(s, t)))
             return real(exts[(exts.index(pi) + 1) % len(exts)], s, t)
 
-        monkeypatch.setattr(paths, "ext_to_zipper", next_word)
+        monkeypatch.setitem(paths.BIJECTIONS, "zipper",
+                            paths.BIJECTIONS["zipper"]._replace(
+                                encode=next_word))
         res = verify.check_bijections(4)
         assert res.status == "fail"
         assert res.detail.startswith("zipper 2x2 (")
@@ -266,8 +268,10 @@ class TestCheckBijections:
         # every extension roundtrips, but the 2 x 2 words it should cover
         # include one no extension encodes to
         real = paths.zippers
-        monkeypatch.setattr(paths, "zippers", lambda s, t: [
-            *real(s, t), *([(2, 2, 1, 1)] if (s, t) == (2, 2) else [])])
+        monkeypatch.setitem(
+            paths.BIJECTIONS, "zipper",
+            paths.BIJECTIONS["zipper"]._replace(objects=lambda s, t: [
+                *real(s, t), *([(2, 2, 1, 1)] if (s, t) == (2, 2) else [])]))
         res = verify.check_bijections(4)
         assert res == ("bijection roundtrips and images", "fail",
                        "zipper image 2x2")

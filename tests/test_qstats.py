@@ -11,9 +11,9 @@ from lexcount.polys import (add, degree, is_unimodal, monomial,
                             reverse_on_degree)
 from lexcount.posets import GridPoset, build
 from test_engine import _patterns, _posets, cyclic_poset, cyclic_posets
-from lexcount.qstats import (F_poly, catalan_words, conj_1243_rhs,
-                             conj_2143_t2_rhs, conj_2143_t3_rhs,
-                             f_coeff_export, maj_conjecture_rhs,
+from lexcount.qstats import (TWO_LINE, F_poly, catalan_words,
+                             conj_1243_rhs, conj_2143_t2_rhs,
+                             conj_2143_t3_rhs, f_coeff_export,
                              maj_q_catalan, q_catalan,
                              q_catalan_by_words, q_catalan_tilde, q_int,
                              stat_gf, thm61_rhs, thm62_rhs)
@@ -121,14 +121,15 @@ class TestStatGfDP:
 
 class TestClosedForms:
     @pytest.mark.parametrize("case,maker", [
-        ("i", lambda n: stat_gf(build("EN", 2, n), [(3, 2, 1)])),
-        ("ii", lambda n: stat_gf(build("EN", n, 2), [(1, 2, 3)])),
-        ("iii", lambda n: stat_gf(build("NE", n, 2), [(1, 2, 3)])),
-        ("iv", lambda n: stat_gf(build("NE", 2, n), [(1, 2, 3)])),
+        ("i", lambda n, stat: stat_gf(build("EN", 2, n), [(3, 2, 1)], stat)),
+        ("ii", lambda n, stat: stat_gf(build("EN", n, 2), [(1, 2, 3)], stat)),
+        ("iii", lambda n, stat: stat_gf(build("NE", n, 2), [(1, 2, 3)], stat)),
+        ("iv", lambda n, stat: stat_gf(build("NE", 2, n), [(1, 2, 3)], stat)),
     ])
     def test_two_line_identities(self, case, maker):
         for n in range(1, 5):
-            assert thm61_rhs(case, n) == maker(n), (case, n)
+            assert thm61_rhs(case, n) == maker(n, "inv"), (case, n)
+            assert TWO_LINE[case].maj(n) == maker(n, "maj"), (case, n)
 
     def test_213_product_form(self):
         assert thm62_rhs(2, 3) == tuple([0] * 13 + [1, 1, 1])
@@ -140,10 +141,22 @@ class TestClosedForms:
                     build("NE", s, t), [(2, 1, 3)]), (s, t)
 
     def test_bad_case_rejected(self):
-        with pytest.raises(ValueError):
-            thm61_rhs("v", 2)
         with pytest.raises(ValueError, match="case must be one of"):
-            maj_conjecture_rhs("v", 2)
+            thm61_rhs("v", 2)
+
+    @pytest.mark.parametrize("form,args,message", [
+        (thm61_rhs, ("i", 0), "need size >= 1"),
+        (thm61_rhs, ("iv", -1), "need size >= 1"),
+        (thm62_rhs, (0, 3), "need s >= 1 and t >= 1"),
+        (thm62_rhs, (3, 0), "need s >= 1 and t >= 1"),
+        (thm62_rhs, (-1, 2), "need s >= 1 and t >= 1"),
+        (conj_2143_t2_rhs, (0,), "need s >= 1"),
+        (conj_2143_t3_rhs, (0,), "need s >= 1"),
+        (conj_1243_rhs, (0,), "need t >= 1"),
+    ])
+    def test_empty_shapes_rejected(self, form, args, message):
+        with pytest.raises(ValueError, match=message):
+            form(*args)
 
 
 class TestFPoly:
