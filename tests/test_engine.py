@@ -201,6 +201,25 @@ class TestAvoiderDP:
         # they are dropped: 1,835 states if they were kept, 923 without
         assert states_built(build("NE", 6, 6), [(1, 2, 3)]) < 1_000
 
+    @pytest.mark.parametrize("spec, patterns, states", [
+        # the count problems and the 2143 table of the benchmark's sweep
+        ("NE:4x5", ["123"], 125),
+        ("EN:4x5", ["1324"], 570),
+        ("NE:4x5", ["2143"], 125),
+        ("EN:4x5", ["2413"], 289),
+        ("EN:4x5", ["1324", "2413"], 340),
+        ("EN:4x5", ["2143"], 125),
+        # larger shapes, one per pattern class
+        ("EN:8x5", ["2143"], 1_286),
+        ("EN:8x3", ["1324"], 1_424),
+        ("NE:8x4", ["123"], 494),
+        ("EN:12x4", ["1243"], 1_819)])
+    def test_exact_state_counts(self, spec, patterns, states):
+        # the reduction keeps exactly the undominated live matches, so any
+        # change to it that keeps the answers must keep these counts too
+        assert states_built(parse_poset_spec(spec),
+                            [tuple(map(int, p)) for p in patterns]) == states
+
     def test_reach_against_the_transfer_matrix(self):
         # 40 elements, past every test that runs backtracking
         assert (count_avoiders(build("EN", 8, 5), [(2, 1, 4, 3)])
