@@ -100,12 +100,12 @@ def cmd_count(args: SimpleNamespace) -> tuple[int, str]:
                       [("value", "route"), (value, route)])
 
 
-def cmd_list(args: SimpleNamespace) -> tuple[int, str]:
+def cmd_list(args: SimpleNamespace) -> tuple[int, str | list[str]]:
     poset, patterns, echo = _read(args, refuse="listing")
     if args.format == "json":
         exts = format_avoiders(poset, patterns)
         return 0, _render(args, "", {**echo, "extensions": exts})
-    return 0, "\n".join(listing(poset, patterns))
+    return 0, listing(poset, patterns)  # _emit prints the chunks unjoined
 
 
 def _table_cell(family: str, s: int, t: int,
@@ -465,12 +465,13 @@ def build_parser() -> SimpleNamespace:
     return SimpleNamespace(parse_args=parse_args)
 
 
-def _emit(text: str) -> bool:
-    """Print text to stdout; False if the reader has closed the pipe.  Then
-    stdout is pointed at os.devnull, so that the interpreter's final flush
-    does not fail again and print a traceback."""
+def _emit(text: str | list[str]) -> bool:
+    """Print text, or a list of chunks one a line, to stdout; False if the
+    reader has closed the pipe.  Then stdout is pointed at os.devnull, so
+    that the interpreter's final flush does not fail again and print a
+    traceback."""
     try:
-        print(text, flush=True)
+        print(*([text] if type(text) is str else text), sep="\n", flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

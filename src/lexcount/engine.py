@@ -20,6 +20,7 @@ the newly placed element.
 """
 from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
+from operator import ge, le
 
 from .perms import Perm, contains, ending_matcher, parse_perm, perm, perm_sep
 from .polys import QPoly
@@ -82,8 +83,8 @@ def format_avoiders(poset: GridPoset,
                     patterns: Iterable[Sequence[int]]) -> list[str]:
     """`format_perm` of each pattern-avoiding extension, in lexicographic
     order: the lines of the text `listing` gives."""
-    chunks = listing(poset, patterns)
-    return "\n".join(chunks).split("\n") if chunks else []
+    return [line for chunk in listing(poset, patterns)
+            for line in chunk.split("\n")]
 
 
 # The most characters a state's block may hold.  At a few thousand
@@ -217,6 +218,14 @@ def stat_gf(poset: GridPoset, patterns: Iterable[Sequence[int]],
     return tuple(out)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
+
+
 def _slot_plan(sig: Perm, L: int) -> tuple:
     """What decides the future of a match of sig[:L]: the positions in
     sig[:L] of the lower and upper neighbours of sig[L] (-1 for none); for
@@ -290,10 +299,11 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     blocks through several matches or elements is still built, so
     `listing` keeps its backward prune.
 
-    Matches and sets of matches are interned as ints.  Each match keeps
-    what placing a value of rank r leaves of it, and each set the id of the
-    set it becomes and that least gap, so one call of the DP takes each
-    step once per rank.
+    Matches are interned as ints, and a set of matches is the mask of
+    their ids, interned in turn.  Dominance is decided once per pair of
+    matches, when the later one is interned.  Each match keeps the mask of
+    what a value of rank r leaves of it, and each set the set it becomes
+    and that least gap, so one call of the DP takes each step once per rank.
     """
     pats = sorted({perm(p) for p in patterns})
     n = poset.n
@@ -302,15 +312,16 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
 
     matches: dict = {}  # (i, gaps) -> id, -1 if dead
     info: list = []     # id -> (i, gaps)
-    moves: list = []    # id -> r -> ids the match leaves, () if it dies
-    # rank[id]: (group, coordinates).  The group is an int for (i, L, the
-    # gaps that bound slots from both sides, which must be equal); the
-    # coordinates are the lower bounds and the negated upper bounds, padded
-    # to two, so that A dominates B iff A's are <= B's one by one
-    rank: list = []
+    moves: list = []    # id -> r -> mask of the matches it leaves, -1 if dead
+    # groups[(i, L, the gaps that bound slots from both sides, which must be
+    # equal)]: [(id, coordinates)], the lower bounds and the negated upper
+    # bounds, so that A dominates B iff A's are <= B's one by one.
+    # below[id]: the mask of the matches of its group that it dominates,
+    # and its own bit if it is one entry short: a set keeps neither
     groups: dict = {}
+    below: list = []
     # short[id]: the lower gap of a match one entry short whose slot is open
-    # above, None for any other match
+    # above, n for any other match
     short: list = []
 
     def match(i: int, gaps: tuple) -> int:
@@ -322,40 +333,46 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
         if mid is None:
             L = len(gaps)
             (lo, hi), _, both, low, high, bounded = plan[i][L]
+            ends = L + 1 == len(pats[i])
             if any((gaps[a] if a >= 0 else 0) >= gaps[b] for a, b in bounded):
                 mid = match(i, ())
-            elif L + 1 == len(pats[i]) and hi >= 0:
+            elif ends and hi >= 0:
                 mid = -1
             else:
                 mid = len(info)
                 info.append((i, gaps))
                 moves.append([None] * n)
-                g = groups.setdefault((i, L, tuple(gaps[q] for q in both)),
-                                      len(groups))
+                short.append((gaps[lo] if lo >= 0 else 0) if ends else n)
+                below.append(1 << mid if ends else 0)
                 coords = [gaps[q] for q in low] + [-gaps[q] for q in high]
-                rank.append((g, tuple(coords + [0] * (2 - len(coords)))))
-                short.append(None if L + 1 < len(pats[i])
-                             else gaps[lo] if lo >= 0 else 0)
+                key = i, L, tuple(gaps[q] for q in both)
+                group = groups.setdefault(key, [])
+                for other, theirs in group:
+                    if all(map(le, coords, theirs)):
+                        below[mid] |= 1 << other
+                    elif all(map(ge, coords, theirs)):
+                        below[other] |= 1 << mid
+                group.append((mid, coords))
             matches[i, gaps] = mid
         return mid
 
-    def step(mid: int, r: int) -> tuple:
-        """Placing a value of rank r: the match with its gaps renumbered
-        and, if the value fits the next slot, the match extended by it,
-        each as `match` classifies it; () if the extended match is dead.
-        No set holds a match one entry short, so none completes here."""
+    def step(mid: int, r: int) -> int:
+        """The mask of what placing a value of rank r leaves: the match with
+        its gaps renumbered and, if the value fits the next slot, the match
+        extended by it, each as `match` classifies it; -1 if the latter is
+        dead.  No set holds a match one entry short, so none completes here."""
         i, gaps = info[mid]
         (lo, hi), *_ = plan[i][len(gaps)]
         shifted = tuple(g - (g > r) for g in gaps)
-        kept = match(i, shifted)
+        kept = 1 << match(i, shifted)
         if lo >= 0 and gaps[lo] > r or hi >= 0 and gaps[hi] <= r:
-            return (kept,)
+            return kept
         used = plan[i][len(gaps) + 1][1]
         grown = match(i, tuple(g if u else 0 for g, u
                                in zip(shifted + (r,), used)))
-        return () if grown < 0 else (kept, grown)
+        return -1 if grown < 0 else kept | 1 << grown
 
-    sets: dict = {}     # frozenset of match ids -> id
+    sets: dict = {}     # mask of match ids -> id
     members: list = []  # id -> match ids
     # after[id][r]: `settle` of the matches that placing a value of rank r
     # leaves, dead (below every count of unplaced values) if one of them is
@@ -363,59 +380,41 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
     after: list = []
     dead = (-1, -1)
 
-    def reduced(new: set) -> int:
-        """The id of the set of the matches in new that no other one
-        dominates."""
-        keep = []
-        last = -1
-        # a match sorts after every match of its group that dominates it
-        for mid in sorted(new, key=rank.__getitem__):
-            g, c = rank[mid]
-            if g != last:
-                last, front = g, [c]
-            elif len(c) > 2:
-                if any(all(a <= b for a, b in zip(f, c)) for f in front):
-                    continue
-                front.append(c)
-            elif front[-1][1] <= c[1]:
-                continue  # front[-1] has the least second coordinate so far
-            else:
-                front.append(c)
-            keep.append(mid)
-        key = frozenset(keep)
-        sid = sets.get(key)
+    def settle(new: int) -> tuple:
+        """(id of the set of the matches in new that no other one dominates
+        but those one entry short with a slot open above, the least lower
+        gap of those, n if none).  A state is live only if that gap is at
+        least its number of unplaced values; then it is equal, every such
+        slot is empty for good, and the matches are dropped."""
+        drop, low = 0, n
+        for mid in _bits(new):
+            drop |= below[mid]
+            if short[mid] < low:
+                low = short[mid]
+        new &= ~drop
+        sid = sets.get(new)
         if sid is None:
-            sid = sets[key] = len(members)
-            members.append(keep)
+            sid = sets[new] = len(members)
+            members.append(tuple(_bits(new)))
             after.append([None] * n)
-        return sid
-
-    def settle(new: set) -> tuple:
-        """(id of the set of the matches in new but those one entry short
-        with a slot open above, the least lower gap of those, n if none).
-        A state is live only if that gap is at least its number of unplaced
-        values; then it is equal, every such slot is empty for good, and
-        the matches are dropped."""
-        ends = {mid for mid in new if short[mid] is not None}
-        return (reduced(new - ends),
-                min((short[mid] for mid in ends), default=n))
+        return sid, low
 
     def advance(sid: int, r: int) -> tuple:
-        new = set()
+        new = 0
         for mid in members[sid]:
             row = moves[mid]
             move = row[r]
             if move is None:
                 move = row[r] = step(mid, r)
-            if not move:
+            if move < 0:
                 return dead
-            new.update(move)
+            new |= move
         return settle(new)
 
     layer: dict = {}
     poset._closure  # noqa: B018 -- topological sort; raises on a cycle
     if () not in pats:  # the empty pattern is contained in everything
-        sid, low = settle({match(i, ()) for i in range(len(pats))})
+        sid, low = settle(sum(1 << match(i, ()) for i in range(len(pats))))
         if low >= n:
             layer[0, sid] = root
     for k in range(n):
