@@ -20,7 +20,7 @@ the newly placed element.
 """
 from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
-from operator import ge, le
+from operator import le
 
 from .perms import Perm, contains, ending_matcher, parse_perm, perm, perm_sep
 from .polys import QPoly
@@ -350,7 +350,7 @@ def _avoider_dp(poset: GridPoset, patterns: Iterable[Sequence[int]],
                 for other, theirs in group:
                     if all(map(le, coords, theirs)):
                         below[mid] |= 1 << other
-                    elif all(map(ge, coords, theirs)):
+                    elif all(map(le, theirs, coords)):
                         below[other] |= 1 << mid
                 group.append((mid, coords))
             matches[i, gaps] = mid
