@@ -1,17 +1,21 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexcount import paths, verify
 from lexcount.engine import avoiders, linear_extensions
 from lexcount.formulas import catalan, fuss_catalan
-from lexcount.paths import (enumerate_12354_paths, enumerate_jk, ext_to_fcpath,
-                            ext_to_tableau, ext_to_zipper, ext_to_12354_path,
-                            fc_paths, fcpath_to_ext, format_zipper,
-                            is_fuss_catalan, is_jk_catalan, is_standard_tableau,
-                            is_zipper, is_12354_path, jk_paths, parse_zipper,
-                            paths_12354, standard_tableaux, tableau_to_ext,
-                            zipper_to_ext, zippers)
+from lexcount.paths import (_ballot, enumerate_12354_paths, enumerate_jk,
+                            ext_to_fcpath, ext_to_tableau, ext_to_zipper,
+                            ext_to_12354_path, fc_paths, fcpath_to_ext,
+                            format_zipper, is_fuss_catalan, is_jk_catalan,
+                            is_standard_tableau, is_zipper, is_12354_path,
+                            jk_paths, parse_zipper, paths_12354,
+                            standard_tableaux, tableau_to_ext, zipper_to_ext,
+                            zippers)
 from lexcount.posets import build, saw_poset, zip_poset
+from lexcount.qstats import catalan_words
 from lexcount.transfer import b_matrix
 
 PATH_EXT = (10, 11, 7, 12, 8, 9, 4, 5, 1, 6, 2, 3)
@@ -347,3 +351,90 @@ class TestPredicatesByPrefix:
                 and all(max(at(j)) < min(at(j + 2))
                         for j in range(1, s - 1)))
         assert is_zipper(w, s, t) == want
+
+
+def _arrangements_of(counts):
+    """Every word with counts[x] copies of each letter x, lexicographically
+    in the order counts lists the letters."""
+    if not any(counts.values()):
+        yield ()
+    for x, c in counts.items():
+        if c:
+            for rest in _arrangements_of({**counts, x: c - 1}):
+                yield (x, *rest)
+
+
+# every (s, t) with s, t >= 1 and at most 9 letters
+LATTICE_SHAPES = [(s, t) for s in range(1, 10) for t in range(1, 9 // s + 1)]
+# those whose s letters of t copies each have at most 2,520 arrangements:
+# all but 7 x 1 to 9 x 1, whose 7! to 9! arrangements take seconds to check
+ROW_SHAPES = [(s, t) for s, t in LATTICE_SHAPES
+              if factorial(s * t) // factorial(t) ** s <= 2520]
+
+
+class TestEnumeratorsAgainstValidators:
+    """Each lattice-word enumerator gives exactly the arrangements of its
+    letter multiset that its validator accepts: as a list where the
+    enumerator promises a lexicographic order, as a set otherwise."""
+
+    @staticmethod
+    def _accepted(counts, valid, word=tuple):
+        return [word(w) for w in _arrangements_of(counts) if valid(word(w))]
+
+    @pytest.mark.parametrize("s, t", LATTICE_SHAPES)
+    def test_fc_paths(self, s, t):
+        want = self._accepted({"E": s, "N": (t - 1) * s},
+                              lambda w: is_fuss_catalan(w, t), "".join)
+        assert list(fc_paths(s, t)) == want
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_jk_paths(self, n):
+        for j in range(0, min(n + 1, 9 - n) + 1):
+            for k in range(0, n + 2):
+                want = self._accepted(
+                    {"N": j, "E": n}, lambda w: is_jk_catalan(w, n, j, k),
+                    "".join)
+                assert list(jk_paths(n, j, k)) == want, (n, j, k)
+
+    @pytest.mark.parametrize("s, t", [(s, t) for s, t in LATTICE_SHAPES
+                                      if t >= 2])
+    def test_paths_12354(self, s, t):
+        want = self._accepted({"N1": s, "N2": s, "E": (t - 2) * s},
+                              lambda w: is_12354_path(w, s, t))
+        assert sorted(paths_12354(s, t)) == sorted(want)
+
+    @pytest.mark.parametrize("s, t", ROW_SHAPES)
+    def test_zippers(self, s, t):
+        want = self._accepted(dict.fromkeys(range(1, s + 1), t),
+                              lambda w: is_zipper(w, s, t))
+        assert sorted(zippers(s, t)) == sorted(want)
+
+    @pytest.mark.parametrize("s, t", ROW_SHAPES)
+    def test_standard_tableaux(self, s, t):
+        def rows(w):  # row r holds the positions of the letter r
+            return tuple(tuple(k for k, x in enumerate(w, 1) if x == r)
+                         for r in range(s))
+        want = self._accepted(dict.fromkeys(range(s), t),
+                              is_standard_tableau, rows)
+        assert list(standard_tableaux(s, t)) == want
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_catalan_words(self, n):
+        want = self._accepted({0: n, 1: n}, lambda w: _ballot(w, 0, 1))
+        assert list(catalan_words(n)) == want
+
+    @pytest.mark.parametrize("enumerate_, args", [
+        (fc_paths, (-1, 3)), (paths_12354, (-1, 3)), (jk_paths, (3, -1, 1))])
+    def test_negative_letter_counts_raise(self, enumerate_, args):
+        with pytest.raises(ValueError):
+            list(enumerate_(*args))
+
+    @pytest.mark.parametrize("enumerate_, args, want", [
+        (fc_paths, (2, 0), []), (paths_12354, (2, 1), []),
+        (zippers, (-1, 3), []), (catalan_words, (-1,), []),
+        (fc_paths, (0, 3), [""]), (paths_12354, (0, 3), [()]),
+        (jk_paths, (2, 0, 2), ["EE"]), (standard_tableaux, (2, 0), [((), ())]),
+        (standard_tableaux, (2, -1), [((), ())]),
+        (standard_tableaux, (-1, 2), [()])])
+    def test_degenerate_shapes(self, enumerate_, args, want):
+        assert list(enumerate_(*args)) == want
