@@ -15,8 +15,7 @@ outside their domain.  `BIJECTIONS` is the one table of the three, each
 field a function of (..., s, t); `bijection` and verify read it.
 """
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import combinations, combinations_with_replacement
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .engine import is_extension
 from .perms import Perm, perm
@@ -41,29 +40,51 @@ def _ballot(word: Sequence, up, down, k: int = 1, lead: int = 0) -> bool:
     return True
 
 
+def ballot_words(counts: dict, ok: Callable) -> Iterator[tuple]:
+    """The words with counts[x] copies of each letter x, lexicographically
+    in the order of counts: x goes down only while a copy is left and
+    ok(x, placed) holds, placed counting the letters with x, so no failing
+    prefix grows (Knuth, TAOCP 4A, 7.2.1.6).  A count < 0 is a ValueError."""
+    if min(counts.values(), default=0) < 0:
+        raise ValueError(f"negative letter count in {counts}")
+    n, placed = sum(counts.values()), dict.fromkeys(counts, 0)
+    word, tries = [], [iter(counts)]  # tries[d]: letters left for spot d
+    while tries:
+        for x in tries[-1]:
+            if placed[x] < counts[x]:
+                placed[x] += 1
+                if ok(x, placed):
+                    word.append(x)
+                    tries.append(iter(counts))
+                    break
+                placed[x] -= 1
+        else:  # every letter tried at this spot: step back
+            tries.pop()
+            if len(word) == n:
+                yield tuple(word)
+            if word:
+                placed[word.pop()] -= 1
+
+
 # ---------------------------------------------------------------------------
 # Fuss-Catalan paths
 
 def is_fuss_catalan(w: str, t: int) -> bool:
-    """True iff w is a t-Fuss-Catalan path: s Es and (t-1)s Ns for some s,
-    with every prefix holding at least t-1 times as many Ns as Es."""
-    if t < 1 or any(ch not in "NE" for ch in w):
+    """True iff w is a t-Fuss-Catalan path: a string of s Es and (t-1)s
+    Ns, every prefix holding at least t-1 times as many Ns as Es."""
+    if t < 1 or not isinstance(w, str) or any(ch not in "NE" for ch in w):
         return False
     return (_ballot(w, "N", "E", t - 1)
             and w.count("N") == (t - 1) * w.count("E"))
 
 
 def fc_paths(s: int, t: int) -> Iterator[str]:
-    """All t-Fuss-Catalan paths of semilength s: every placement of s Es
-    among s * t letters that is_fuss_catalan accepts."""
-    n = s * t
-    for epos in combinations(range(n), s):
-        word = ["N"] * n
-        for p in epos:
-            word[p] = "E"
-        w = "".join(word)
-        if is_fuss_catalan(w, t):
-            yield w
+    """All t-Fuss-Catalan paths of semilength s, E before N: an E goes
+    down only while #N >= (t-1) #E.  There are none for t < 1."""
+    if t < 1 and s >= 0:
+        return iter(())
+    return map("".join, ballot_words({"E": s, "N": (t - 1) * s},
+                                     lambda x, c: c["N"] >= (t - 1) * c["E"]))
 
 
 def _fill(word: Iterable, queues: dict) -> Perm:
@@ -111,8 +132,10 @@ def ext_to_tableau(pi: Sequence[int], s: int, t: int) -> Tableau:
 
 
 def is_standard_tableau(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff rows is a standard rectangular tableau of ints, none empty."""
     entries = [x for row in rows for x in row]
-    if sorted(entries) != list(range(1, len(entries) + 1)):
+    if (not all(rows) or any(type(x) is not int for x in entries)
+            or sorted(entries) != list(range(1, len(entries) + 1))):
         return False
     widths = {len(row) for row in rows}
     if len(widths) > 1:
@@ -140,20 +163,14 @@ def tableau_to_ext(rows: Sequence[Sequence[int]]) -> Perm:
 
 def standard_tableaux(s: int, t: int) -> Iterator[Tableau]:
     """All standard tableaux of rectangular shape with s rows of length t,
-    generated by placing 1, 2, ... at the frontier of each row."""
-    rows: list[list[int]] = [[] for _ in range(s)]
-
-    def rec(k: int) -> Iterator[Tableau]:
-        if k > s * t:
-            yield tuple(tuple(row) for row in rows)
-            return
-        for r, row in enumerate(rows):
-            if len(row) < t and (r == 0 or len(rows[r - 1]) > len(row)):
-                row.append(k)
-                yield from rec(k + 1)
-                row.pop()
-
-    return rec(1)
+    in the lexicographic order of their row words, whose kth letter is
+    the row of k: k goes to row r only while row r-1 stays longer."""
+    if s < 0 and t < 0:  # s * t entries, and no row to put them in
+        return iter(())
+    words = ballot_words(dict.fromkeys(range(s), max(t, 0)),
+                         lambda r, c: r == 0 or c[r - 1] >= c[r])
+    return (tuple(tuple(k for k, x in enumerate(w, 1) if x == r)
+                  for r in range(s)) for w in words)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +184,8 @@ def is_zipper(w: Sequence[int], s: int, t: int) -> bool:
     if s < 1 or t < 1:
         return False
     word = tuple(w)
-    if len(word) != s * t or any(not 1 <= x <= s for x in word):
+    # with s * t ints, t copies of each of 1..s leave no room for others
+    if len(word) != s * t or any(type(x) is not int for x in word):
         return False
     if any(word.count(j) != t for j in range(1, s + 1)):
         return False
@@ -182,31 +200,12 @@ def is_zipper(w: Sequence[int], s: int, t: int) -> bool:
 
 
 def zippers(s: int, t: int) -> Iterator[ZipperWord]:
-    """All Catalan zippers of dimension s and length t, built letter class
-    by letter class so only valid interleavings are explored."""
-    def rec(word: tuple[int, ...], j: int) -> Iterator[ZipperWord]:
-        if j > s:
-            yield word
-            return
-        lo = 0
-        if j >= 3:
-            lo = max(p for p, x in enumerate(word) if x == j - 2) + 1
-        slots = range(lo, len(word) + 1)
-        for places in combinations_with_replacement(slots, t):
-            merged: list[int] = []
-            prev = 0
-            for p in places:
-                merged.extend(word[prev:p])
-                merged.append(j)
-                prev = p
-            merged.extend(word[prev:])
-            # Catalan projection against the previous letter
-            if j < 2 or _ballot(merged, j - 1, j):
-                yield from rec(tuple(merged), j + 1)
-
+    """All Catalan zippers of dimension s and length t: N_j goes down only
+    while #N_{j-1} >= #N_j, and only after every N_{j-2}."""
     if s < 1 or t < 1:
         return iter(())
-    return rec((), 1)
+    return ballot_words(dict.fromkeys(range(1, s + 1), t), lambda j, c: (
+        j == 1 or (c[j - 1] >= c[j] and (j == 2 or c[j - 2] == t))))
 
 
 def ext_to_zipper(pi: Sequence[int], s: int, t: int) -> ZipperWord:
@@ -271,18 +270,15 @@ def is_jk_catalan(w: str, n: int, j: int, k: int) -> bool:
 
 
 def jk_paths(n: int, j: int, k: int) -> Iterator[str]:
-    for npos in combinations(range(j + n), j):
-        word = ["E"] * (j + n)
-        for p in npos:
-            word[p] = "N"
-        w = "".join(word)
-        if is_jk_catalan(w, n, j, k):
-            yield w
+    """N before E; an E only while n - j + #N >= #E, then the tail test."""
+    words = ballot_words({"N": j, "E": max(n, 0)},  # none for n < 0
+                         lambda x, c: n - j + c["N"] >= c["E"])
+    return (w for w in map("".join, words) if is_jk_catalan(w, n, j, k))
 
 
 def enumerate_jk(n: int, j: int, k: int) -> int:
-    """Count of j,k-Catalan paths by direct generation; the slow oracle
-    the transfer-matrix recurrence is checked against."""
+    """Count of j,k-Catalan paths by direct generation, which the
+    transfer-matrix recurrence is checked against."""
     return sum(1 for _ in jk_paths(n, j, k))
 
 
@@ -304,18 +300,11 @@ def is_12354_path(w: Sequence[str], s: int, t: int) -> bool:
 
 
 def paths_12354(s: int, t: int) -> Iterator[tuple[str, ...]]:
-    n = s * t
-    for n1pos in combinations(range(n), s):
-        remaining = [p for p in range(n) if p not in set(n1pos)]
-        for n2sel in combinations(remaining, s):
-            word = ["E"] * n
-            for p in n1pos:
-                word[p] = "N1"
-            for p in n2sel:
-                word[p] = "N2"
-            w = tuple(word)
-            if is_12354_path(w, s, t):
-                yield w
+    """Every prefix keeps #N1 >= #N2 and #E >= (t-2) #N1; none for t < 2."""
+    if t < 2 and s >= 0:
+        return iter(())
+    return ballot_words({"N1": s, "N2": s, "E": (t - 2) * s}, lambda x, c: (
+        c["N1"] >= c["N2"] and c["E"] >= (t - 2) * c["N1"]))
 
 
 def enumerate_12354_paths(s: int, t: int) -> int:

@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import comb
 
 from .engine import stat_gf  # noqa: F401 -- computed by the avoider DP
+from .paths import ballot_words
 from .perms import inv, maj
 from .polys import QPoly, add, degree, monomial, mul, reverse_on_degree, shift
 
@@ -28,23 +29,11 @@ def q_int(n: int) -> QPoly:
 
 
 def catalan_words(n: int) -> Iterator[tuple[int, ...]]:
-    """All 0/1 Catalan words of length 2n, lexicographically."""
-    word: list[int] = []
-
-    def rec(zeros: int, ones: int) -> Iterator[tuple[int, ...]]:
-        if zeros == ones == n:
-            yield tuple(word)
-            return
-        if zeros < n:
-            word.append(0)
-            yield from rec(zeros + 1, ones)
-            word.pop()
-        if ones < zeros:
-            word.append(1)
-            yield from rec(zeros, ones + 1)
-            word.pop()
-
-    return rec(0, 0)
+    """All 0/1 Catalan words of length 2n, lexicographically: a 1 goes
+    down only while #0 >= #1.  There are none for n < 0."""
+    if n < 0:
+        return iter(())
+    return ballot_words({0: n, 1: n}, lambda x, c: c[0] >= c[1])
 
 
 def _word_sum(n: int, stat: Callable[[tuple[int, ...]], int]) -> QPoly:

@@ -171,7 +171,7 @@ def check_char_poly() -> CheckResult:
 
 def check_bijections(max_n: int = 12) -> CheckResult:
     """Each of paths.BIJECTIONS sends its poset's extensions to valid words
-    that decode back, and its image is every word of the shape."""
+    that decode back, and its image is objects' words, each of them valid."""
     failures, n_inst = [], 0
     for s, t in _shapes(max_n):
         for kind, bij in paths.BIJECTIONS.items():
@@ -182,7 +182,9 @@ def check_bijections(max_n: int = 12) -> CheckResult:
                 if not bij.valid(w, s, t) or bij.decode(w, s, t) != pi:
                     failures.append(f"{kind} {s}x{t} {pi}")
                     break
-            if {bij.encode(pi, s, t) for pi in exts} != set(bij.objects(s, t)):
+            words = set(bij.objects(s, t))
+            if (not all(bij.valid(w, s, t) for w in words)
+                    or {bij.encode(pi, s, t) for pi in exts} != words):
                 failures.append(f"{kind} image {s}x{t}")
     return _check("bijection roundtrips and images", failures, n_inst)
 

@@ -335,6 +335,13 @@ class TestQpoly:
 
 
 class TestBijection:
+    def test_kinds_are_those_of_paths(self):
+        # spelled out in COMMANDS, so that start-up never imports paths
+        from lexcount import paths
+        kind = next(o for o in cli.COMMANDS["bijection"][2]
+                    if o[0] == "--kind")
+        assert kind[1] == tuple(paths.BIJECTIONS)
+
     def test_fcpath_forward(self, run):
         code, out, _ = run("bijection", "--poset", "EN:4x3+saw",
                            "--kind", "fcpath",

@@ -280,6 +280,31 @@ class TestCheckBijections:
         assert res == ("bijection roundtrips and images", "fail",
                        "zipper image 2x2")
 
+    def test_invalid_object(self, monkeypatch):
+        # the words equal the true ones, but their letters are floats,
+        # which is_zipper refuses
+        real = paths.zippers
+        monkeypatch.setitem(
+            paths.BIJECTIONS, "zipper",
+            paths.BIJECTIONS["zipper"]._replace(objects=lambda s, t: [
+                tuple(map(float, w)) for w in real(s, t)]))
+        res = verify.check_bijections(2)
+        assert res == ("bijection roundtrips and images", "fail",
+                       "zipper image 1x1; zipper image 1x2; "
+                       "zipper image 2x1")
+
+
+@pytest.mark.parametrize("decode, args", [
+    (tableau_to_ext, ([[1, "a"]],)), (tableau_to_ext, ([[True, 2]],)),
+    (tableau_to_ext, ([[]],)), (tableau_to_ext, ([[], []],)),
+    (zipper_to_ext, (["a"], 1, 1)), (zipper_to_ext, ([1.0], 1, 1)),
+    (zipper_to_ext, ([True], 1, 1)), (fcpath_to_ext, ([1, 2], 1, 2)),
+    (fcpath_to_ext, (["N", "E"], 1, 2))])
+def test_decoders_refuse_non_words(decode, args):
+    # letters or entries of the wrong type, bool included, and empty rows
+    with pytest.raises(ValueError, match="^not a "):
+        decode(*args)
+
 
 def _prefixes(word):
     return [word[:i] for i in range(len(word) + 1)]
