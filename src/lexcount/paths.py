@@ -137,16 +137,9 @@ def is_standard_tableau(rows: Sequence[Sequence[int]]) -> bool:
     if (not all(rows) or any(type(x) is not int for x in entries)
             or sorted(entries) != list(range(1, len(entries) + 1))):
         return False
-    widths = {len(row) for row in rows}
-    if len(widths) > 1:
-        return False
-    for row in rows:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            return False
-    for up, down in zip(rows, rows[1:]):
-        if any(a >= b for a, b in zip(up, down)):
-            return False
-    return True
+    pairs = [p for row in rows for p in zip(row, row[1:])]  # along rows
+    pairs += [p for up, down in zip(rows, rows[1:]) for p in zip(up, down)]
+    return len({len(row) for row in rows}) < 2 and all(a < b for a, b in pairs)
 
 
 def tableau_to_ext(rows: Sequence[Sequence[int]]) -> Perm:
@@ -167,10 +160,15 @@ def standard_tableaux(s: int, t: int) -> Iterator[Tableau]:
     the row of k: k goes to row r only while row r-1 stays longer."""
     if s < 0 and t < 0:  # s * t entries, and no row to put them in
         return iter(())
-    words = ballot_words(dict.fromkeys(range(s), max(t, 0)),
-                         lambda r, c: r == 0 or c[r - 1] >= c[r])
-    return (tuple(tuple(k for k, x in enumerate(w, 1) if x == r)
-                  for r in range(s)) for w in words)
+
+    def tableau(word: tuple[int, ...]) -> Tableau:  # k goes in row word[k-1]
+        rows: tuple[list[int], ...] = tuple([] for _ in range(s))
+        for k, r in enumerate(word, 1):
+            rows[r].append(k)
+        return tuple(map(tuple, rows))
+
+    return map(tableau, ballot_words(dict.fromkeys(range(s), max(t, 0)),
+                                     lambda r, c: r == 0 or c[r - 1] >= c[r]))
 
 
 # ---------------------------------------------------------------------------
