@@ -48,6 +48,8 @@ def ballot_words(counts: dict, ok: Callable) -> Iterator[tuple]:
     if min(counts.values(), default=0) < 0:
         raise ValueError(f"negative letter count in {counts}")
     n, placed = sum(counts.values()), dict.fromkeys(counts, 0)
+    if n == 0:
+        yield ()
     word, tries = [], [iter(counts)]  # tries[d]: letters left for spot d
     while tries:
         for x in tries[-1]:
@@ -55,13 +57,14 @@ def ballot_words(counts: dict, ok: Callable) -> Iterator[tuple]:
                 placed[x] += 1
                 if ok(x, placed):
                     word.append(x)
-                    tries.append(iter(counts))
-                    break
+                    if len(word) < n:
+                        tries.append(iter(counts))
+                        break
+                    yield tuple(word)  # full: try its other last letters
+                    word.pop()
                 placed[x] -= 1
         else:  # every letter tried at this spot: step back
             tries.pop()
-            if len(word) == n:
-                yield tuple(word)
             if word:
                 placed[word.pop()] -= 1
 
@@ -187,14 +190,10 @@ def is_zipper(w: Sequence[int], s: int, t: int) -> bool:
         return False
     if any(word.count(j) != t for j in range(1, s + 1)):
         return False
-    if not all(_ballot(word, j, j + 1) for j in range(1, s)):
-        return False
-    for j in range(1, s - 1):
-        last_j = max(p for p, x in enumerate(word) if x == j)
-        first_j2 = min(p for p, x in enumerate(word) if x == j + 2)
-        if last_j > first_j2:
-            return False
-    return True
+    return (all(_ballot(word, j, j + 1) for j in range(1, s))
+            and all(max(p for p, x in enumerate(word) if x == j)
+                    < min(p for p, x in enumerate(word) if x == j + 2)
+                    for j in range(1, s - 1)))
 
 
 def zippers(s: int, t: int) -> Iterator[ZipperWord]:
