@@ -2,8 +2,8 @@
 Command-line front end.
 
 Subcommands: count, list, table, qpoly, bijection, charpoly, verify.
-Exit codes: 0 success, 1 usage error, 2 verification failure or
-cross-route disagreement.
+Exit codes: 0 success, 1 usage error, 2 when two computations that must
+agree do not (the routes of a count, or the two sides of a verify check).
 """
 import gc
 import os
@@ -20,7 +20,7 @@ DP_GUARD = 25
 
 
 class Disagreement(Exception):
-    """Counting routes disagree: main prints them, exits 2, caches nothing."""
+    """Results that must agree differ: main prints it and exits 2."""
 
 
 def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
@@ -55,8 +55,8 @@ def _solve(poset: GridPoset, patterns: list[tuple[int, ...]], force: bool,
     if only is not None and not routes:
         raise ValueError(f"route {only!r} is not available for this problem")
     if len(set(routes.values())) > 1:
-        raise Disagreement(
-            ", ".join(f"{r}={v}" for r, v in sorted(routes.items())))
+        raise Disagreement("route disagreement: " + ", ".join(
+            f"{r}={v}" for r, v in sorted(routes.items())))
     return next(iter(routes.items()), (None, None))
 
 
@@ -88,24 +88,24 @@ def _render(args: SimpleNamespace, plain: str, payload: dict,
     return plain
 
 
-def cmd_count(args: SimpleNamespace) -> tuple[int, str]:
+def cmd_count(args: SimpleNamespace) -> str:
     poset, patterns, echo = _read(args)
     route, value = _solve(poset, patterns, args.force, args.route)
     if route is None:
         raise ValueError(
             f"no affordable route for {poset.n} elements; pass --force "
             "to run the ideal-dp route anyway")
-    return 0, _render(args, f"{value}\nroute: {route}",
-                      {**echo, "value": value, "route": route},
-                      [("value", "route"), (value, route)])
+    return _render(args, f"{value}\nroute: {route}",
+                   {**echo, "value": value, "route": route},
+                   [("value", "route"), (value, route)])
 
 
-def cmd_list(args: SimpleNamespace) -> tuple[int, str | list[str]]:
+def cmd_list(args: SimpleNamespace) -> str | list[str]:
     poset, patterns, echo = _read(args, refuse="listing")
     if args.format == "json":
         exts = format_avoiders(poset, patterns)
-        return 0, _render(args, "", {**echo, "extensions": exts})
-    return 0, listing(poset, patterns)  # _emit prints the chunks unjoined
+        return _render(args, "", {**echo, "extensions": exts})
+    return listing(poset, patterns)  # _emit prints the chunks unjoined
 
 
 def _table_cell(family: str, s: int, t: int,
@@ -116,7 +116,7 @@ def _table_cell(family: str, s: int, t: int,
         raise Disagreement(f"{e} at ({s},{t})") from None
 
 
-def cmd_table(args: SimpleNamespace) -> tuple[int, str]:
+def cmd_table(args: SimpleNamespace) -> str:
     if args.family not in FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
     _, patterns, echo = _read(args)
@@ -129,26 +129,26 @@ def cmd_table(args: SimpleNamespace) -> tuple[int, str]:
     widths = [max(map(len, col)) for col in zip(*rows)]
     plain = "\n".join("  ".join(v.rjust(w) for v, w in zip(row, widths))
                       for row in rows)
-    return 0, _render(args, plain, {**echo, "family": args.family,
-                                    "rows": grid}, rows)
+    return _render(args, plain, {**echo, "family": args.family,
+                                 "rows": grid}, rows)
 
 
 def _poly_output(args: SimpleNamespace, gf: QPoly,
-                 fmt: Callable[[QPoly], str], echo: dict) -> tuple[int, str]:
+                 fmt: Callable[[QPoly], str], echo: dict) -> str:
     """A polynomial as fmt's text, its coefficients and the echo as json,
     or one csv row per nonzero coefficient."""
-    return 0, _render(args, fmt(gf), {**echo, **to_json_dict(gf)},
-                      [("power", "coefficient")]
-                      + [(k, c) for k, c in enumerate(gf) if c])
+    return _render(args, fmt(gf), {**echo, **to_json_dict(gf)},
+                   [("power", "coefficient")]
+                   + [(k, c) for k, c in enumerate(gf) if c])
 
 
-def cmd_qpoly(args: SimpleNamespace) -> tuple[int, str]:
+def cmd_qpoly(args: SimpleNamespace) -> str:
     poset, patterns, echo = _read(args, refuse="q-polynomial")
     return _poly_output(args, stat_gf(poset, patterns, args.stat),
                         format_q, {**echo, "stat": args.stat})
 
 
-def cmd_bijection(args: SimpleNamespace) -> tuple[int, str]:
+def cmd_bijection(args: SimpleNamespace) -> str:
     import json  # imported here, so other commands skip their load
     from . import paths
     poset, _, payload = _read(args)
@@ -190,31 +190,32 @@ def cmd_bijection(args: SimpleNamespace) -> tuple[int, str]:
                      f"path descents: {path_d}")
         else:
             plain = payload["word"] = paths.format_zipper(w)
-    return 0, _render(args, plain, payload)
+    return _render(args, plain, payload)
 
 
-def cmd_charpoly(args: SimpleNamespace) -> tuple[int, str]:
+def cmd_charpoly(args: SimpleNamespace) -> str:
     from . import transfer  # imported here, so other commands skip its load
     return _poly_output(args, transfer.char_poly(args.t), format_x,
                         {"t": args.t})
 
 
-def cmd_verify(args: SimpleNamespace) -> tuple[int, str]:
+def cmd_verify(args: SimpleNamespace) -> str:
     # imported here, so other commands skip their load
     from . import qstats, verify
-    if args.suite == "theorems":
-        results = verify.theorem_checks(fast=args.fast)
-    else:
-        results = verify.conjecture_checks(fast=args.fast)
+    checks = {"theorems": verify.theorem_checks,
+              "conjectures": verify.conjecture_checks}[args.suite]
+    results = checks(fast=args.fast)
     lines = [f"[{'ok  ' if r.ok else 'FAIL'}] {r.name}: {r.status}"
              + (f" ({r.detail})" if r.detail else "") for r in results]
     if args.suite == "conjectures":
         lines += [f"[info] {row['coefficient']} of F "
                   f"(compare {row['reference']}): {row['values']}"
                   for row in qstats.f_coeff_export(10)]
-    code = 0 if all(r.ok for r in results) else 2
-    return code, _render(args, "\n".join(lines), {
+    report = _render(args, "\n".join(lines), {
         "suite": args.suite, "checks": [r._asdict() for r in results]})
+    if not all(r.ok for r in results):
+        raise Disagreement(report)
+    return report
 
 
 def _cache_key(args: SimpleNamespace) -> str:
@@ -233,29 +234,25 @@ def _cache_key(args: SimpleNamespace) -> str:
         with open(os.path.join(here, name), "rb") as fh:
             source.update(name.encode() + b"\0" + fh.read())
     fields = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in vars(args).items()
-              if k not in ("cache_dir", "func", "cacheable")}
+              for k, v in vars(args).items() if k != "cache_dir"}
     fields["source"] = source.hexdigest()
     return blake2b(repr(sorted(fields.items())).encode(),
                    digest_size=32).hexdigest()
 
 
-def _read_entry(entry: str) -> tuple[int, str] | None:
-    """The stored (code, output) of an entry "<code> <len(output)>\\n<output>",
-    or None if it is missing, unreadable, malformed, cut short or run on
-    (then it is recomputed and overwritten)."""
+def _read_entry(entry: str) -> str | None:
+    """The output stored in an entry "<len(output)>\\n<output>", or None if
+    it is missing, unreadable, malformed, cut short or run on (then it is
+    recomputed and overwritten)."""
     try:
         with open(entry, encoding="utf-8", newline="") as fh:
             header, newline, output = fh.read().partition("\n")
-        code = int(header.partition(" ")[0])
-    except (OSError, ValueError):  # ValueError covers bad UTF-8 and codes
+    except (OSError, ValueError):  # ValueError covers bad UTF-8
         return None
-    if newline and header == f"{code} {len(output)}":
-        return code, output
-    return None
+    return output if newline and header == str(len(output)) else None
 
 
-def _write_entry(entry: str, code: int, output: str) -> None:
+def _write_entry(entry: str, output: str) -> None:
     """Write via a temp file in the same directory and os.replace, so a
     reader never sees a partial entry; the temp file is removed if that
     fails."""
@@ -264,7 +261,7 @@ def _write_entry(entry: str, code: int, output: str) -> None:
     tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"{code} {len(output)}\n{output}")
+            fh.write(f"{len(output)}\n{output}")
         os.replace(tmp, entry)
     finally:
         if os.path.exists(tmp):
@@ -281,13 +278,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# The command line.  A command is (help, cacheable, options), and the
-# module's cmd_<command> runs it.  An option is (flag, kind, default,
-# required, help).  Its kind is FLAG (takes no value, sets True), APPEND
-# (each use adds its value to a list), a tuple of the values allowed, or
-# the function that converts its value (str or _positive_int).  _plain
-# reads a plain command line from these rows; argparse, built from the
-# same rows, reads every other one.
+# The command line.  A command is (help, cacheable, options), and main
+# runs the module's cmd_<command>, which returns the command's text.  An
+# option is (flag, kind, default, required, help).  Its kind is FLAG
+# (takes no value, sets True), APPEND (each use adds its value to a
+# list), a tuple of the values allowed, or the function that converts its
+# value (str or _positive_int).  _plain reads a plain command line from
+# these rows; argparse, built from the same rows, reads every other one.
 FLAG, APPEND = "flag", "append"
 CACHE_DIR = ("--cache-dir", str, None, False,
              "directory for memoized results (or set LEXCOUNT_CACHE_DIR)")
@@ -443,20 +440,16 @@ def _argparser():
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """The command line as the fields of one namespace: cache_dir, command,
-    one per option of the command (its default if not given), and the
-    command's func and cacheable.  Only --cache-dir and -h come before the
-    command.  _plain reads a plain command line, argparse any other.  A
-    usage error prints one line on stderr and raises SystemExit(1); -h
-    prints the help on stdout and raises SystemExit(0)."""
+    """The command line as the fields of one namespace: cache_dir, command
+    and one per option of the command (its default if not given).  Only
+    --cache-dir and -h come before the command.  _plain reads a plain
+    command line, argparse any other.  A usage error prints one line on
+    stderr and raises SystemExit(1); -h prints the help on stdout and
+    raises SystemExit(0)."""
     fields = _plain(argv)
     if fields is None:
         fields = vars(_argparser().parse_args(argv))
-    command = fields["command"]
-    # looked up by name here, so that a caller that replaces a handler in
-    # this module's globals (a tracer, a test) runs its replacement
-    return SimpleNamespace(**fields, func=globals()[f"cmd_{command}"],
-                           cacheable=COMMANDS[command][1])
+    return SimpleNamespace(**fields)
 
 
 def build_parser() -> SimpleNamespace:
@@ -498,17 +491,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return e.code
 
-    cache = args.cacheable and (args.cache_dir
-                                or os.environ.get("LEXCOUNT_CACHE_DIR"))
+    cache = COMMANDS[args.command][1] and (
+        args.cache_dir or os.environ.get("LEXCOUNT_CACHE_DIR"))
     entry = os.path.join(cache, f"{_cache_key(args)}.txt") if cache else None
-    stored = None if entry is None else _read_entry(entry)
-    if stored is not None:
-        return stored[0] if _emit(stored[1]) else 1
+    output = None if entry is None else _read_entry(entry)
+    if output is not None:
+        return 0 if _emit(output) else 1
 
     try:
-        code, output = args.func(args)
+        # looked up by name here, so that a caller that replaces a handler
+        # in this module's globals (a tracer, a test) runs its replacement
+        output = globals()[f"cmd_{args.command}"](args)
     except Disagreement as e:
-        return 2 if _emit(f"route disagreement: {e}") else 1
+        return 2 if _emit(str(e)) else 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -518,13 +513,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if not _emit(output):
         return 1
-    if entry is not None and code == 0:
+    if entry is not None:
         try:
-            _write_entry(entry, code, output)
+            _write_entry(entry, output)
         except OSError as e:
             print(f"error: cannot write cache entry: {e}", file=sys.stderr)
             return 1
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -135,9 +135,13 @@ def ext_to_tableau(pi: Sequence[int], s: int, t: int) -> Tableau:
 
 
 def is_standard_tableau(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff rows is a standard rectangular tableau of ints, none empty."""
+    """True iff rows is a standard rectangular tableau of ints: a list or
+    tuple of rows, each a list or tuple and none empty."""
+    if not (isinstance(rows, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) and row for row in rows)):
+        return False
     entries = [x for row in rows for x in row]
-    if (not all(rows) or any(type(x) is not int for x in entries)
+    if (any(type(x) is not int for x in entries)
             or sorted(entries) != list(range(1, len(entries) + 1))):
         return False
     pairs = [p for row in rows for p in zip(row, row[1:])]  # along rows
@@ -161,7 +165,7 @@ def standard_tableaux(s: int, t: int) -> Iterator[Tableau]:
     """All standard tableaux of rectangular shape with s rows of length t,
     in the lexicographic order of their row words, whose kth letter is
     the row of k: k goes to row r only while row r-1 stays longer."""
-    if s < 0 and t < 0:  # s * t entries, and no row to put them in
+    if t < 1 <= s:  # no row may be empty
         return iter(())
 
     def tableau(word: tuple[int, ...]) -> Tableau:  # k goes in row word[k-1]
@@ -170,7 +174,7 @@ def standard_tableaux(s: int, t: int) -> Iterator[Tableau]:
             rows[r].append(k)
         return tuple(map(tuple, rows))
 
-    return map(tableau, ballot_words(dict.fromkeys(range(s), max(t, 0)),
+    return map(tableau, ballot_words(dict.fromkeys(range(s), t),
                                      lambda r, c: r == 0 or c[r - 1] >= c[r]))
 
 
@@ -181,8 +185,8 @@ def is_zipper(w: Sequence[int], s: int, t: int) -> bool:
     """True iff w is a Catalan zipper of dimension s and length t: each of
     N_1..N_s appears t times, each adjacent projection (N_j as N, N_{j+1}
     as E) is a Catalan path, and the rightmost N_j precedes the leftmost
-    N_{j+2}."""
-    if s < 1 or t < 1:
+    N_{j+2}, w being a list or tuple."""
+    if s < 1 or t < 1 or not isinstance(w, (list, tuple)):
         return False
     word = tuple(w)
     # with s * t ints, t copies of each of 1..s leave no room for others
@@ -256,8 +260,8 @@ BIJECTIONS = {
 def is_jk_catalan(w: str, n: int, j: int, k: int) -> bool:
     """True iff w consists of j Ns and n Es, becomes a Catalan path after
     prepending n - j Ns, and ends with N followed by k Es (or k = n and
-    w is all Es)."""
-    if not (0 <= j <= n and 1 <= k <= n):
+    w is all Es); w is a str."""
+    if not (0 <= j <= n and 1 <= k <= n and isinstance(w, str)):
         return False
     if w.count("N") != j or w.count("E") != n or len(w) != j + n:
         return False
@@ -285,8 +289,8 @@ def enumerate_jk(n: int, j: int, k: int) -> int:
 def is_12354_path(w: Sequence[str], s: int, t: int) -> bool:
     """True iff w has s N1s, s N2s, and (t-2)s Es, every prefix has at
     least as many N1s as N2s, and every prefix has at least t-2 times as
-    many Es as N1s."""
-    if t < 2 or s < 0:
+    many Es as N1s, w being a list or tuple."""
+    if t < 2 or s < 0 or not isinstance(w, (list, tuple)):
         return False
     word = tuple(w)
     if len(word) != s * t or any(x not in ("N1", "N2", "E") for x in word):

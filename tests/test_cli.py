@@ -639,14 +639,18 @@ class TestCache:
 
     @pytest.mark.parametrize("damage", [
         b'{"code": 0, "out', b"", b"[1, 2]", b'{"code": 0}', b"\xff\xfe",
-        # the header "<code> <length>" with no newline after it
-        b"0 16",
-        # a code that is not an int, or not in canonical form
-        b"x 16\n55\nroute: Cor4.6", b"+0 16\n55\nroute: Cor4.6",
-        b"0 16 0\n55\nroute: Cor4.6",
+        # the header "<length>" with no newline after it
+        b"16",
+        # a length that is not an int, or not in canonical form
+        b"x\n55\nroute: Cor4.6", b"+16\n55\nroute: Cor4.6",
+        b"16 0\n55\nroute: Cor4.6",
         # a length that disagrees: output cut short, or bytes appended
+        b"16\n55\nroute: Cor4.", b"16\n55\nroute: Cor4.6xx",
+        # entries in the earlier "<code> <length>" format, whole and with
+        # each damage above, and in the earlier json format
+        b"0 16\n55\nroute: Cor4.6", b"0 16", b"x 16\n55\nroute: Cor4.6",
+        b"+0 16\n55\nroute: Cor4.6", b"0 16 0\n55\nroute: Cor4.6",
         b"0 16\n55\nroute: Cor4.", b"0 16\n55\nroute: Cor4.6xx",
-        # an entry in the earlier json format
         b'{"code": 0, "output": "55\\nroute: Cor4.6"}'])
     def test_corrupt_entry_is_recomputed(self, run, tmp_path, damage):
         argv = ("--cache-dir", str(tmp_path), "count", "--poset", "EN:4x3",
@@ -657,7 +661,7 @@ class TestCache:
         code, out, err = run(*argv)
         assert (code, out, err) == first == (0, "55\nroute: Cor4.6", "")
         assert list(tmp_path.iterdir()) == [entry]
-        assert cli._read_entry(entry) == (0, out)
+        assert cli._read_entry(entry) == out
 
     def test_unwritable_cache_dir(self, run, tmp_path):
         blocker = tmp_path / "file"
@@ -702,7 +706,7 @@ class TestCache:
                 "--avoid", "1243", "--stat", "maj")
         first = run(*argv)
         (entry,) = cache.iterdir()
-        cli._write_entry(entry, 0, "stale")
+        cli._write_entry(entry, "stale")
         assert run(*argv) == (0, "stale", "")  # same source: a cache hit
         # the key reads the sources beside cli.py; edit one module's copy
         src.mkdir()
@@ -713,8 +717,8 @@ class TestCache:
         monkeypatch.setattr(cli, "__file__", str(src / "cli.py"))
         assert run(*argv) == first
         (fresh,) = set(cache.iterdir()) - {entry}
-        assert cli._read_entry(fresh) == (0, first[1])
-        cli._write_entry(fresh, 0, "stale")
+        assert cli._read_entry(fresh) == first[1]
+        cli._write_entry(fresh, "stale")
         assert run(*argv) == (0, "stale", "")  # the new key is used again
 
     def test_key_is_blake2b_256(self, tmp_path):
@@ -741,7 +745,7 @@ class TestCache:
                     "EN:3x3", "--avoid", "123")
         assert first == (0, "0\nroute: Thm3.4", "")
         (entry,) = tmp_path.iterdir()
-        cli._write_entry(entry, 0, "served")
+        cli._write_entry(entry, "served")
         assert run("--cache-dir", str(tmp_path), "count", "--poset=EN:3x3",
                    "--av", "123") == (0, "served", "")
 
@@ -808,7 +812,7 @@ class TestProcess:
                 "--avoid", "1324"]
         assert fresh("-m", "lexcount", *argv).returncode == 0
         (entry,) = tmp_path.iterdir()
-        cli._write_entry(entry, 0, "served")
+        cli._write_entry(entry, "served")
         r, loaded = self.main_loads(argv)
         assert (r.returncode, r.stdout) == (0, "served\n")
         assert "_blake2" in loaded
@@ -820,7 +824,7 @@ class TestProcess:
         first = fresh(*argv)
         assert (first.returncode, first.stdout) == (0, "55\nroute: Cor4.6\n")
         (entry,) = tmp_path.iterdir()
-        cli._write_entry(entry, 0, "served")
+        cli._write_entry(entry, "served")
         second = fresh(*argv)
         assert (second.returncode, second.stdout) == (0, "served\n")
 
@@ -977,10 +981,8 @@ class TestUsage:
     def test_handler_is_looked_up_by_name(self, run, monkeypatch):
         # a replacement in the module's globals runs, as a tracer's does
         monkeypatch.setattr(cli, "cmd_count",
-                            lambda args: (0, f"patched {args.poset}"))
+                            lambda args: f"patched {args.poset}")
         assert run("count", "--poset", "EN:2x2") == (0, "patched EN:2x2", "")
-        assert cli.parse_args(["count", "--poset", "EN:2x2"]).func is (
-            cli.cmd_count)
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
@@ -1209,12 +1211,10 @@ def reference_parser():
                    help="pattern to avoid (repeatable)")
     p.add_argument("--route", choices=("formula", "transfer", "ideal-dp"),
                    default=None)
-    p.set_defaults(func=cli.cmd_count, cacheable=True)
 
     p = sub.add_parser("list", help="list avoiding extensions")
     common(p, csv=False)
     p.add_argument("--avoid", action="append", default=[])
-    p.set_defaults(func=cli.cmd_list, cacheable=False)
 
     p = sub.add_parser("table", help="grid of counts over (s, t)")
     common(p, poset=False)
@@ -1223,13 +1223,11 @@ def reference_parser():
     p.add_argument("--avoid", action="append", default=[])
     p.add_argument("--max-s", type=positive_int, required=True)
     p.add_argument("--max-t", type=positive_int, required=True)
-    p.set_defaults(func=cli.cmd_table, cacheable=True)
 
     p = sub.add_parser("qpoly", help="statistic generating function")
     common(p)
     p.add_argument("--avoid", action="append", default=[])
     p.add_argument("--stat", choices=("inv", "maj"), default="inv")
-    p.set_defaults(func=cli.cmd_qpoly, cacheable=True)
 
     p = sub.add_parser("bijection", help="apply a bijection or its inverse")
     common(p, csv=False, force=False)
@@ -1239,13 +1237,11 @@ def reference_parser():
     p.add_argument("--word", default=None,
                    help="encoded object to decode (path string, zipper "
                         "tokens, or tableau JSON)")
-    p.set_defaults(func=cli.cmd_bijection, cacheable=False)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of the "
                                         "transfer matrix")
     p.add_argument("--t", type=positive_int, required=True)
     common(p, poset=False, force=False)
-    p.set_defaults(func=cli.cmd_charpoly, cacheable=False)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("theorems", "conjectures"),
@@ -1253,7 +1249,6 @@ def reference_parser():
     p.add_argument("--fast", action="store_true",
                    help="smaller size limits for a quicker pass")
     common(p, poset=False, csv=False, force=False)
-    p.set_defaults(func=cli.cmd_verify, cacheable=False)
 
     return parser
 
@@ -1264,15 +1259,14 @@ def reference_commands() -> dict:
 
 
 def parsed(parse, argv: list[str]):
-    """What parse makes of argv: the fields it sets but func, or its exit
-    code and stderr."""
+    """What parse makes of argv: the fields it sets, or its exit code and
+    stderr."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
             fields = vars(parse(argv))
         except SystemExit as e:
             return e.code, err.getvalue()
-    del fields["func"]
     return fields
 
 
@@ -1363,6 +1357,14 @@ class TestAgainstArgparse:
     @settings(max_examples=300, deadline=None)
     def test_drawn_argv_with_a_tricky_word(self, reference, argv, word, at):
         self.agree(reference, argv[:at] + [word] + argv[at:])
+
+    def test_commands_and_their_handlers(self):
+        # what the reference once pinned by set_defaults(func=, cacheable=)
+        assert set(cli.COMMANDS) == set(reference_commands())
+        assert {name for name, (_, cacheable, _) in cli.COMMANDS.items()
+                if cacheable} == {"count", "table", "qpoly"}
+        assert all(callable(getattr(cli, f"cmd_{name}", None))
+                   for name in cli.COMMANDS)
 
     def test_build_parser_gives_parse_args(self):
         # perfbench's draw test still parses through build_parser()

@@ -299,11 +299,28 @@ class TestCheckBijections:
     (tableau_to_ext, ([[]],)), (tableau_to_ext, ([[], []],)),
     (zipper_to_ext, (["a"], 1, 1)), (zipper_to_ext, ([1.0], 1, 1)),
     (zipper_to_ext, ([True], 1, 1)), (fcpath_to_ext, ([1, 2], 1, 2)),
-    (fcpath_to_ext, (["N", "E"], 1, 2))])
+    (fcpath_to_ext, (["N", "E"], 1, 2)), (tableau_to_ext, ([1, 2],)),
+    (tableau_to_ext, ([[1], 2],)), (tableau_to_ext, (5,)),
+    (zipper_to_ext, (5, 1, 1))])
 def test_decoders_refuse_non_words(decode, args):
-    # letters or entries of the wrong type, bool included, and empty rows
+    # letters or entries of the wrong type, bool included, empty rows, and
+    # words or rows that are not sequences at all
     with pytest.raises(ValueError, match="^not a "):
         decode(*args)
+
+
+@pytest.mark.parametrize("valid, args", [
+    (is_jk_catalan, (5, 1, 1, 1)), (is_12354_path, (5, 1, 2)),
+    (is_12354_path, (iter(["N1", "N2"]), 1, 2)), (is_zipper, (5, 1, 1)),
+    (is_zipper, ({1: 1}, 1, 1)), (is_zipper, (iter([1]), 1, 1)),
+    (is_standard_tableau, (5,)), (is_standard_tableau, ([1, 2],)),
+    (is_standard_tableau, ([[1], 2],)), (is_standard_tableau, ({(1,): 0},)),
+    (is_standard_tableau, ([range(1, 3)],))])
+def test_validators_refuse_non_words(valid, args):
+    # a path word that is not a str; a zipper or 12354 word, a tableau or
+    # one of its rows that is not a list or tuple, even one that would
+    # pass once converted
+    assert valid(*args) is False
 
 
 def _prefixes(word):
@@ -395,6 +412,11 @@ LATTICE_SHAPES = [(s, t) for s in range(1, 10) for t in range(1, 9 // s + 1)]
 # all but 7 x 1 to 9 x 1, whose 7! to 9! arrangements take seconds to check
 ROW_SHAPES = [(s, t) for s, t in LATTICE_SHAPES
               if factorial(s * t) // factorial(t) ** s <= 2520]
+# every shape with a zero size and at most 9 for the other; fc_paths and
+# paths_12354 take only those with s = 0, since (s, 0) would need -s Ns
+# and -2s Es
+NO_ROWS = [(0, t) for t in range(10)]
+ZERO_SHAPES = NO_ROWS + [(s, 0) for s in range(1, 10)]
 
 
 class TestEnumeratorsAgainstValidators:
@@ -406,7 +428,7 @@ class TestEnumeratorsAgainstValidators:
     def _accepted(counts, valid, word=tuple):
         return [word(w) for w in _arrangements_of(counts) if valid(word(w))]
 
-    @pytest.mark.parametrize("s, t", LATTICE_SHAPES)
+    @pytest.mark.parametrize("s, t", LATTICE_SHAPES + NO_ROWS)
     def test_fc_paths(self, s, t):
         want = self._accepted({"E": s, "N": (t - 1) * s},
                               lambda w: is_fuss_catalan(w, t), "".join)
@@ -414,6 +436,7 @@ class TestEnumeratorsAgainstValidators:
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_jk_paths(self, n):
+        # n, j and k each start at 0, so the zero sizes are all here
         for j in range(0, min(n + 1, 9 - n) + 1):
             for k in range(0, n + 2):
                 want = self._accepted(
@@ -422,19 +445,19 @@ class TestEnumeratorsAgainstValidators:
                 assert list(jk_paths(n, j, k)) == want, (n, j, k)
 
     @pytest.mark.parametrize("s, t", [(s, t) for s, t in LATTICE_SHAPES
-                                      if t >= 2])
+                                      if t >= 2] + NO_ROWS)
     def test_paths_12354(self, s, t):
         want = self._accepted({"N1": s, "N2": s, "E": (t - 2) * s},
                               lambda w: is_12354_path(w, s, t))
         assert sorted(paths_12354(s, t)) == sorted(want)
 
-    @pytest.mark.parametrize("s, t", ROW_SHAPES)
+    @pytest.mark.parametrize("s, t", ROW_SHAPES + ZERO_SHAPES)
     def test_zippers(self, s, t):
         want = self._accepted(dict.fromkeys(range(1, s + 1), t),
                               lambda w: is_zipper(w, s, t))
         assert sorted(zippers(s, t)) == sorted(want)
 
-    @pytest.mark.parametrize("s, t", ROW_SHAPES)
+    @pytest.mark.parametrize("s, t", ROW_SHAPES + ZERO_SHAPES)
     def test_standard_tableaux(self, s, t):
         def rows(w):  # row r holds the positions of the letter r
             return tuple(tuple(k for k, x in enumerate(w, 1) if x == r)
@@ -458,8 +481,8 @@ class TestEnumeratorsAgainstValidators:
         (fc_paths, (2, 0), []), (paths_12354, (2, 1), []),
         (zippers, (-1, 3), []), (catalan_words, (-1,), []),
         (fc_paths, (0, 3), [""]), (paths_12354, (0, 3), [()]),
-        (jk_paths, (2, 0, 2), ["EE"]), (standard_tableaux, (2, 0), [((), ())]),
-        (standard_tableaux, (2, -1), [((), ())]),
-        (standard_tableaux, (-1, 2), [()])])
+        (jk_paths, (2, 0, 2), ["EE"]), (standard_tableaux, (2, 0), []),
+        (standard_tableaux, (2, -1), []), (standard_tableaux, (-1, 2), [()]),
+        (standard_tableaux, (-1, -1), [()])])
     def test_degenerate_shapes(self, enumerate_, args, want):
         assert list(enumerate_(*args)) == want
