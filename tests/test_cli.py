@@ -1359,7 +1359,7 @@ class TestAgainstArgparse:
         self.agree(reference, argv[:at] + [word] + argv[at:])
 
     def test_commands_and_their_handlers(self):
-        # what the reference once pinned by set_defaults(func=, cacheable=)
+        # main reads each command's cacheable flag and runs cmd_<command>
         assert set(cli.COMMANDS) == set(reference_commands())
         assert {name for name, (_, cacheable, _) in cli.COMMANDS.items()
                 if cacheable} == {"count", "table", "qpoly"}
