@@ -788,6 +788,15 @@ class TestProcess:
                              "json", "re", "lexcount.verify", "lexcount.paths"}
                             | LAZY | PARSER)
 
+    def test_import_loads_exactly_the_eager_modules(self):
+        def own(code: str) -> set[str]:
+            return {m for m in self.modules_after(code)
+                    if m.partition(".")[0] == "lexcount"}
+        eager = {"lexcount", "lexcount.engine", "lexcount.gentree",
+                 "lexcount.perms", "lexcount.polys", "lexcount.posets"}
+        assert own("import lexcount") == eager
+        assert own("import lexcount.cli") == eager | {"lexcount.cli"}
+
     def test_no_typing_pathlib_or_re_without_site(self, tmp_path):
         # -S: no site .pth preloads anything, so every module counted here
         # is lexcount's own doing; tempfile would load re, so the test
