@@ -448,8 +448,6 @@ def insert_213(ext: Sequence[int], s: int, t: int, position_choice: int) -> Perm
     old first entry, then the remaining new values in decreasing order.
     """
     pi = perm(ext)
-    if len(pi) != s * t:
-        raise ValueError(f"expected an extension of length {s * t}, got {len(pi)}")
     if not 1 <= position_choice <= t:
         raise ValueError(f"position_choice must be in 1..{t}")
     if contains(pi, (2, 1, 3)):
@@ -465,7 +463,8 @@ def insert_213(ext: Sequence[int], s: int, t: int, position_choice: int) -> Perm
 
 def is_extension(poset: GridPoset, pi: Sequence[int]) -> bool:
     """True iff pi lists all elements in an order consistent with poset."""
-    if sorted(pi) != list(range(1, poset.n + 1)):
+    if (any(type(x) is not int for x in pi)
+            or sorted(pi) != list(range(1, poset.n + 1))):
         return False
     pos = {x: k for k, x in enumerate(pi)}
     for b in range(1, poset.n + 1):

@@ -22,11 +22,9 @@ from .posets import saw_poset
 def saw_label(pi: Sequence[int], s: int, t: int) -> int:
     """The j such that entry 1 sits at position st - j of pi."""
     ext = perm(pi)
-    if len(ext) != s * t:
-        raise ValueError(f"expected length {s * t}, got {len(ext)}")
     if not is_extension(saw_poset(s, t), ext):
         raise ValueError("not a linear extension of the sawblade poset")
-    return s * t - (ext.index(1) + 1)
+    return s * t - (ext.index(1) + 1) if ext else 0  # the root is 0
 
 
 def children_labels(j: int, t: int) -> set[int]:

@@ -245,10 +245,12 @@ Bijection = namedtuple("Bijection", "poset encode decode valid objects")
 BIJECTIONS = {
     "tableau": Bijection(lambda s, t: build("EN", s, t), ext_to_tableau,
                          lambda T, s, t: tableau_to_ext(T),
-                         lambda T, s, t: is_standard_tableau(T),
+                         lambda T, s, t: is_standard_tableau(T)
+                         and [len(row) for row in T] == [t] * s,
                          standard_tableaux),
     "fcpath": Bijection(saw_poset, ext_to_fcpath, fcpath_to_ext,
-                        lambda w, s, t: is_fuss_catalan(w, t), fc_paths),
+                        lambda w, s, t: is_fuss_catalan(w, t)
+                        and w.count("E") == s, fc_paths),
     "zipper": Bijection(zip_poset, ext_to_zipper, zipper_to_ext, is_zipper,
                         zippers),
 }

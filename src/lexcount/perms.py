@@ -16,10 +16,12 @@ Perm = tuple[int, ...]
 
 
 def perm(entries: Iterable[int]) -> Perm:
-    """Validate and freeze a sequence of entries as a permutation of [n]."""
+    """Validate and freeze a sequence of entries as a permutation of [n];
+    every entry must be an int (a bool is not)."""
     p = tuple(entries)
     n = len(p)
-    if sorted(p) != list(range(1, n + 1)):
+    if (any(type(x) is not int for x in p)
+            or sorted(p) != list(range(1, n + 1))):
         raise ValueError(f"not a permutation of 1..{n}: {p}")
     return p
 

@@ -509,7 +509,7 @@ class TestInsert213:
             insert_213((1, 2, 3), 1, 3, 1)  # not an NE extension start
         with pytest.raises(ValueError):
             insert_213((3, 2, 1), 1, 3, 4)  # position out of range
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a linear extension"):
             insert_213((3, 2, 1), 2, 3, 1)  # wrong length
 
     def test_rejects_a_source_containing_213(self):

@@ -16,8 +16,12 @@ class TestLabels:
     def test_label_rejects_non_extensions(self):
         with pytest.raises(ValueError):
             saw_label((3, 2, 1), 1, 3)
-        with pytest.raises(ValueError):
-            saw_label((1, 2, 3), 2, 3)
+        with pytest.raises(ValueError, match="^not a linear extension"):
+            saw_label((1, 2, 3), 2, 3)  # wrong length
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_root_is_labelled_zero(self, t):
+        assert saw_label((), 0, t) == 0
 
     def test_children_labels(self):
         assert children_labels(0, 3) == {2}

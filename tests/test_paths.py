@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexcount import paths, verify
-from lexcount.engine import avoiders, linear_extensions
+from lexcount.engine import (avoiders, insert_213, is_extension,
+                             linear_extensions)
 from lexcount.formulas import catalan, fuss_catalan
+from lexcount.gentree import saw_label
 from lexcount.paths import (_ballot, enumerate_12354_paths, enumerate_jk,
                             ext_to_fcpath, ext_to_tableau, ext_to_zipper,
                             ext_to_12354_path, fc_paths, fcpath_to_ext,
@@ -14,6 +16,7 @@ from lexcount.paths import (_ballot, enumerate_12354_paths, enumerate_jk,
                             jk_paths, parse_zipper, paths_12354,
                             standard_tableaux, tableau_to_ext, zipper_to_ext,
                             zippers)
+from lexcount.perms import perm
 from lexcount.posets import build, saw_poset, zip_poset
 from lexcount.qstats import catalan_words
 from lexcount.transfer import b_matrix
@@ -321,6 +324,39 @@ def test_validators_refuse_non_words(valid, args):
     # one of its rows that is not a list or tuple, even one that would
     # pass once converted
     assert valid(*args) is False
+
+
+@pytest.mark.parametrize("kind, word, s, t, shape", [
+    ("tableau", ((1, 2), (3, 4)), 1, 4, (2, 2)),
+    ("tableau", [], 1, 1, (0, 1)), ("fcpath", "NE", 5, 2, (1, 2))])
+def test_validity_tests_read_the_shape(kind, word, s, t, shape):
+    # a word of one shape is not valid for another
+    valid = paths.BIJECTIONS[kind].valid
+    assert (valid(word, *shape), valid(word, s, t)) == (True, False)
+
+
+@pytest.mark.parametrize("refuse, args", [
+    (perm, ((1, 2.0),)), (perm, ((True,),)), (perm, ((1, "2"),)),
+    (is_extension, (build("EN", 2, 2), (3, 1, 4, 2.0))),
+    (is_extension, (build("EN", 2, 2), (3, 1, 4, "2"))),
+    (is_extension, (build("EN", 2, 2), (3, True, 4, 2))),
+    (ext_to_fcpath, ((1, "2"), 1, 2)), (ext_to_fcpath, ((1, 2.0), 1, 2)),
+    (ext_to_tableau, ((3, 1, 4, 2.0), 2, 2)),
+    (ext_to_zipper, ((3, True, 4, 2), 2, 2)),
+    (ext_to_12354_path, ((3, 1, 4, "2"), 2, 2)),
+    (saw_label, ((True, 2, 3), 1, 3)), (saw_label, ((1.0, 2, 3), 1, 3)),
+    (insert_213, ((3.0, 2, 1), 1, 3, 1)),
+    (insert_213, ((3, 2, True), 1, 3, 1))])
+def test_non_int_entries_are_refused(refuse, args):
+    # a float, a bool or a str in place of an int entry; with every entry
+    # an int, each call accepts its extension
+    ints = [tuple(map(int, a)) if type(a) is tuple else a for a in args]
+    if refuse is is_extension:
+        assert (refuse(*ints), refuse(*args)) == (True, False)
+    else:
+        refuse(*ints)
+        with pytest.raises(ValueError, match="^not a permutation of "):
+            refuse(*args)
 
 
 def _prefixes(word):
