@@ -22,7 +22,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
 from operator import le
 
-from .perms import Perm, contains, ending_matcher, parse_perm, perm, perm_sep
+from .perms import (Perm, contains, ending_matcher, is_perm, parse_perm, perm,
+                    perm_sep)
 from .polys import QPoly
 from .posets import GridPoset, build
 
@@ -463,8 +464,7 @@ def insert_213(ext: Sequence[int], s: int, t: int, position_choice: int) -> Perm
 
 def is_extension(poset: GridPoset, pi: Sequence[int]) -> bool:
     """True iff pi lists all elements in an order consistent with poset."""
-    if (any(type(x) is not int for x in pi)
-            or sorted(pi) != list(range(1, poset.n + 1))):
+    if len(pi) != poset.n or not is_perm(pi):
         return False
     pos = {x: k for k, x in enumerate(pi)}
     for b in range(1, poset.n + 1):

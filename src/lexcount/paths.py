@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .engine import is_extension
-from .perms import Perm, perm
+from .perms import Perm, is_perm, perm
 from .posets import build, saw_poset, zip_poset
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -140,9 +140,7 @@ def is_standard_tableau(rows: Sequence[Sequence[int]]) -> bool:
     if not (isinstance(rows, (list, tuple)) and all(
             isinstance(row, (list, tuple)) and row for row in rows)):
         return False
-    entries = [x for row in rows for x in row]
-    if (any(type(x) is not int for x in entries)
-            or sorted(entries) != list(range(1, len(entries) + 1))):
+    if not is_perm([x for row in rows for x in row]):
         return False
     pairs = [p for row in rows for p in zip(row, row[1:])]  # along rows
     pairs += [p for up, down in zip(rows, rows[1:]) for p in zip(up, down)]

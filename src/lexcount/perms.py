@@ -15,14 +15,18 @@ from functools import lru_cache
 Perm = tuple[int, ...]
 
 
+def is_perm(p: Sequence[int]) -> bool:
+    """True iff p lists the ints 1..len(p) in some order (a bool is not
+    an int)."""
+    return (all(type(x) is int for x in p)
+            and sorted(p) == list(range(1, len(p) + 1)))
+
+
 def perm(entries: Iterable[int]) -> Perm:
-    """Validate and freeze a sequence of entries as a permutation of [n];
-    every entry must be an int (a bool is not)."""
+    """Validate and freeze a sequence of entries as a permutation of [n]."""
     p = tuple(entries)
-    n = len(p)
-    if (any(type(x) is not int for x in p)
-            or sorted(p) != list(range(1, n + 1))):
-        raise ValueError(f"not a permutation of 1..{n}: {p}")
+    if not is_perm(p):
+        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
     return p
 
 
